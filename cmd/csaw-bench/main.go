@@ -10,17 +10,17 @@
 //
 // Without flags it runs every experiment with the laptop-fast configuration
 // and prints full series; -summary prints per-series digests instead.
-// -list prints every experiment ID. -trace streams runtime scheduling events
-// as JSONL to a file ("-" for stdout); -metrics prints per-junction counters
-// and latency digests after each experiment; -validate-trace checks a JSONL
-// trace file and exits (the CI smoke step).
+// -list prints every experiment ID; an unknown -run ID exits 2 with the
+// valid IDs. -trace streams runtime scheduling events as JSONL to a file
+// ("-" for stdout); -metrics prints per-junction counters and latency
+// digests after each experiment; -validate-trace checks a JSONL trace file
+// and exits (the CI smoke step).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"csaw/internal/bench"
@@ -63,6 +63,11 @@ func main() {
 		}
 		return
 	}
+	exps, err := bench.Select(*run)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "csaw-bench:", err)
+		os.Exit(2)
+	}
 
 	if *trace != "" {
 		out := os.Stdout
@@ -97,18 +102,8 @@ func main() {
 		cfg.Tick = *tick
 	}
 
-	want := map[string]bool{}
-	if *run != "" {
-		for _, id := range strings.Split(*run, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
-	}
-
 	failed := 0
-	for _, e := range bench.All() {
-		if len(want) > 0 && !want[e.ID] {
-			continue
-		}
+	for _, e := range exps {
 		start := time.Now()
 		r, err := e.Run(cfg)
 		if err != nil {

@@ -21,13 +21,11 @@ import (
 // latency injected on B's substrate (so an update pays one hop in and its
 // ack one hop out — RTT = 2x the per-hop figure).
 //
-// Two variants run the identical workload in the same binary: the default
-// pipelined path (per-pair ack windows, cumulative acks, batch frames on
-// the wire, batch KV application) and the Options.DisableBatching ablation,
-// which is the seed's one-round-trip-per-update path. The series plot
-// acknowledged updates per second against RTT; the notes carry the p99
-// statement-completion (send-to-ack) latency and the wire-level batch
-// shape (batches sent, mean messages per batch).
+// The series plots acknowledged updates per second against RTT for the
+// pipelined plane (per-pair ack windows, cumulative acks, batch frames on
+// the wire, batch KV application); the notes carry the p99
+// statement-completion (send-to-ack) latency and the wire-level batch shape
+// (batches sent, mean messages per batch).
 func NetBatching(cfg Config) (Result, error) {
 	cfg.fill()
 	const (
@@ -44,9 +42,8 @@ func NetBatching(cfg Config) (Result, error) {
 		trialDur = 1500 * time.Millisecond
 	}
 	// Single-machine wall-clock trials of a saturated closed loop are noisy
-	// (scheduler and GC luck decide which mode's queues oscillate), so each
-	// point is the median of several interleaved trials; long runs take 5,
-	// the CI smoke run takes 3.
+	// (scheduler and GC luck decide when queues oscillate), so each point is
+	// the median of several trials; long runs take 5, the CI smoke run 3.
 	trials := 3
 	if trialDur >= time.Second {
 		trials = 5
@@ -55,52 +52,31 @@ func NetBatching(cfg Config) (Result, error) {
 	// 2ms RTT).
 	hops := []time.Duration{0, 500 * time.Microsecond, time.Millisecond}
 
-	batched := Series{Name: "pipelined+batched"}
-	unbatched := Series{Name: "unbatched (seed path)"}
+	series := Series{Name: "pipelined+batched"}
 	var notes []string
-
-	// One discarded warmup trial: the first trial in a process runs cold
-	// (heap growth, page faults, idle-pool spin-up) and would bias whichever
-	// variant went first.
-	if _, err := netBatchingTrial(cfg, 0, 500*time.Millisecond, nSrc, parWidth, false); err != nil {
-		return Result{}, fmt.Errorf("warmup trial: %w", err)
-	}
-
 	for _, hop := range hops {
-		x := float64(hop.Microseconds()) / 1000 // link latency, ms
-		var bt, ut []netTrialStats
+		var ts []netTrialStats
 		for i := 0; i < trials; i++ {
-			u, err := netBatchingTrial(cfg, hop, trialDur, nSrc, parWidth, true)
+			st, err := netBatchingTrial(cfg, hop, trialDur, nSrc, parWidth)
 			if err != nil {
-				return Result{}, fmt.Errorf("unbatched trial (hop %s): %w", hop, err)
+				return Result{}, fmt.Errorf("trial (hop %s): %w", hop, err)
 			}
-			b, err := netBatchingTrial(cfg, hop, trialDur, nSrc, parWidth, false)
-			if err != nil {
-				return Result{}, fmt.Errorf("batched trial (hop %s): %w", hop, err)
-			}
-			ut = append(ut, u)
-			bt = append(bt, b)
+			ts = append(ts, st)
 		}
-		b, u := medianTrial(bt), medianTrial(ut)
-		batched.X = append(batched.X, x)
-		batched.Y = append(batched.Y, b.updatesPerSec)
-		unbatched.X = append(unbatched.X, x)
-		unbatched.Y = append(unbatched.Y, u.updatesPerSec)
-		ratio := 0.0
-		if u.updatesPerSec > 0 {
-			ratio = b.updatesPerSec / u.updatesPerSec
-		}
+		m := medianTrial(ts)
+		series.X = append(series.X, float64(hop.Microseconds())/1000) // link latency, ms
+		series.Y = append(series.Y, m.updatesPerSec)
 		notes = append(notes, fmt.Sprintf(
-			"link=%s (rtt %s): batched=%.0f upd/s (p99 ack %s, %.1f msgs/batch over %d batches) unbatched=%.0f upd/s (p99 ack %s) ratio=%.2fx (medians of %d trials)",
-			hop, 2*hop, b.updatesPerSec, b.p99Ack, b.meanBatch, b.batches, u.updatesPerSec, u.p99Ack, ratio, trials))
+			"link=%s (rtt %s): %.0f upd/s (p99 ack %s, %.1f msgs/batch over %d batches; median of %d trials)",
+			hop, 2*hop, m.updatesPerSec, m.p99Ack, m.meanBatch, m.batches, trials))
 	}
 
 	return Result{
 		ID:      "Net-batching",
-		Caption: fmt.Sprintf("Remote-update throughput over TCP: pipelined/batched path vs per-update-ack seed path (%d sources x %d par arms, median of %d %s trials)", nSrc, parWidth, trials, trialDur),
+		Caption: fmt.Sprintf("Remote-update throughput over TCP on the pipelined plane (%d sources x %d par arms, median of %d %s trials)", nSrc, parWidth, trials, trialDur),
 		XLabel:  "one-way link latency (ms)",
 		YLabel:  "acknowledged updates/sec",
-		Series:  []Series{batched, unbatched},
+		Series:  []Series{series},
 		Notes:   notes,
 	}, nil
 }
@@ -113,7 +89,7 @@ func medianTrial(ts []netTrialStats) netTrialStats {
 	return sorted[len(sorted)/2]
 }
 
-// netTrialStats is one variant's measurement at one latency point.
+// netTrialStats is one trial's measurement at one latency point.
 type netTrialStats struct {
 	updatesPerSec float64
 	p99Ack        time.Duration
@@ -122,9 +98,8 @@ type netTrialStats struct {
 }
 
 // netBatchingTrial stands up the two-machine deployment, drives it for dur,
-// and tears it down. Both systems share the disableBatching setting — the
-// two modes speak different ack wire formats.
-func netBatchingTrial(cfg Config, hop, dur time.Duration, nSrc, parWidth int, disableBatching bool) (netTrialStats, error) {
+// and tears it down.
+func netBatchingTrial(cfg Config, hop, dur time.Duration, nSrc, parWidth int) (netTrialStats, error) {
 	// Machine A: the sources. Each invocation of a "push" junction asserts
 	// the sink's proposition parWidth times in parallel — parWidth
 	// pipelined remote updates per invocation, each completing only at its
@@ -170,7 +145,6 @@ func netBatchingTrial(cfg Config, hop, dur time.Duration, nSrc, parWidth int, di
 		return func(o *runtime.Options) {
 			o.Net = n
 			o.AckTimeout = 10 * time.Second
-			o.DisableBatching = disableBatching
 			o.Metrics = true // the p99 ack latency comes from the Ack histogram
 		}
 	}
@@ -198,7 +172,7 @@ func netBatchingTrial(cfg Config, hop, dur time.Duration, nSrc, parWidth int, di
 	srvB := compart.ServeTCP(netB, lB)
 	defer srvB.Close()
 
-	ccfg := compart.ClientConfig{QueueSize: 4096, NoBatch: disableBatching}
+	ccfg := compart.ClientConfig{QueueSize: 4096}
 	toB, err := compart.DialTCPConfig(srvB.Addr().String(), ccfg)
 	if err != nil {
 		return netTrialStats{}, err

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"csaw/internal/loc"
 )
@@ -71,4 +73,40 @@ func All() []Experiment {
 		{"Cost-validation", CostValidation},
 		{"Migration", Migration},
 	}
+}
+
+// Select resolves a comma-separated list of experiment IDs, as csaw-bench's
+// -run flag takes it, to experiments in All's order; a list naming no ID
+// selects every experiment. An unknown ID is an error listing the valid
+// ones, so a renamed experiment cannot silently turn a run into a no-op.
+func Select(ids string) ([]Experiment, error) {
+	all := All()
+	want := map[string]bool{}
+	for _, id := range strings.Split(ids, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			want[id] = true
+		}
+	}
+	if len(want) == 0 {
+		return all, nil
+	}
+	var out []Experiment
+	valid := make([]string, 0, len(all))
+	for _, e := range all {
+		valid = append(valid, e.ID)
+		if want[e.ID] {
+			out = append(out, e)
+			delete(want, e.ID)
+		}
+	}
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for id := range want {
+			unknown = append(unknown, id)
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown experiment ID(s) %s; valid IDs: %s",
+			strings.Join(unknown, ", "), strings.Join(valid, ", "))
+	}
+	return out, nil
 }

@@ -344,3 +344,39 @@ func TestSummaryRendering(t *testing.T) {
 		}
 	}
 }
+
+func TestSelectExperiments(t *testing.T) {
+	ids := func(es []Experiment) string {
+		var out []string
+		for _, e := range es {
+			out = append(out, e.ID)
+		}
+		return strings.Join(out, ",")
+	}
+	all := ids(All())
+	cases := []struct {
+		run, want, err string
+	}{
+		{run: "", want: all},
+		{run: " , ", want: all},
+		{run: "Fig23a", want: "Fig23a"},
+		{run: "Migration, Fig23a", want: "Fig23a,Migration"},
+		{run: "Fig23a,Fig23a", want: "Fig23a"},
+		{run: "Nope", err: "unknown experiment ID(s) Nope; valid IDs: " + strings.ReplaceAll(all, ",", ", ")},
+		{run: "Fig23a,Nope,Also", err: "unknown experiment ID(s) Also, Nope;"},
+		{run: "fig23a", err: "unknown experiment ID(s) fig23a;"},
+	}
+	for _, tc := range cases {
+		got, err := Select(tc.run)
+		switch {
+		case tc.err != "":
+			if err == nil || !strings.HasPrefix(err.Error(), tc.err) {
+				t.Errorf("Select(%q) error = %v, want prefix %q", tc.run, err, tc.err)
+			}
+		case err != nil:
+			t.Errorf("Select(%q): %v", tc.run, err)
+		case ids(got) != tc.want:
+			t.Errorf("Select(%q) = %s, want %s", tc.run, ids(got), tc.want)
+		}
+	}
+}

@@ -111,21 +111,16 @@ func decodeBatch(payload []byte, si strIntern) ([]Message, error) {
 // or more into KindBatch envelopes so the buffered writer sees one frame per
 // drained run. A run whose envelope would exceed maxFrame is split across
 // several envelopes; a frame too large to share an envelope goes out plain.
-// With noBatch set every frame is written individually (the ablation path —
-// still one flush per drained run, but one frame per message on the wire).
 //
 // It returns how many of the input bodies were handed to w before any error:
 // callers account those as sent and the remainder as dropped, keeping the
 // conservation invariant exact across connection deaths.
-func writeCoalesced(w io.Writer, bodies [][]byte, noBatch bool, onBatch func(msgs int)) (written int, err error) {
-	if noBatch || len(bodies) == 1 {
-		for _, b := range bodies {
-			if err := writeFrame(w, b); err != nil {
-				return written, err
-			}
-			written++
+func writeCoalesced(w io.Writer, bodies [][]byte, onBatch func(msgs int)) (written int, err error) {
+	if len(bodies) == 1 {
+		if err := writeFrame(w, bodies[0]); err != nil {
+			return 0, err
 		}
-		return written, nil
+		return 1, nil
 	}
 	var scratch []byte
 	for start := 0; start < len(bodies); {

@@ -110,7 +110,7 @@ func TestBatchOversizeRunSplits(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	batches := 0
-	written, err := writeCoalesced(&buf, bodies, false, func(int) { batches++ })
+	written, err := writeCoalesced(&buf, bodies, func(int) { batches++ })
 	if err != nil || written != len(bodies) {
 		t.Fatalf("written %d/%d: %v", written, len(bodies), err)
 	}
@@ -296,49 +296,6 @@ func TestClientCoalescesBursts(t *testing.T) {
 	}
 	if cs.MsgsPerBatch.Mean() <= 1 {
 		t.Fatalf("degenerate batch sizes: %+v", cs.MsgsPerBatch)
-	}
-}
-
-// TestNoBatchClientNeverPacks pins the ablation: with ClientConfig.NoBatch
-// the wire carries one plain frame per message — no KindBatch envelopes —
-// which is the seed client's shape.
-func TestNoBatchClientNeverPacks(t *testing.T) {
-	remote := newTestNetwork(t, 1)
-	var mu sync.Mutex
-	var got int
-	remote.Register("sink", func(m Message) { mu.Lock(); got++; mu.Unlock() })
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := ServeTCP(remote, l)
-	defer srv.Close()
-	client, err := DialTCPConfig(srv.Addr().String(), ClientConfig{QueueSize: 1024, NoBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 300
-	for i := 0; i < n; i++ {
-		if err := client.Send(Message{To: "sink", Key: "k"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	client.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		g := got
-		mu.Unlock()
-		if g == n || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if cs := client.Stats(); cs.BatchesSent != 0 {
-		t.Fatalf("NoBatch client wrote %d envelopes", cs.BatchesSent)
-	}
-	if ss := srv.Stats(); ss.Batches != 0 || ss.Frames != n {
-		t.Fatalf("server saw envelopes from a NoBatch client: %+v", ss)
 	}
 }
 

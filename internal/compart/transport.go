@@ -391,10 +391,6 @@ type ClientConfig struct {
 	// than dropping: the plain client is a reliable pipe whose only failure
 	// mode is the connection dying.
 	QueueSize int
-	// NoBatch reverts the writer to the seed client's behaviour (ablation):
-	// no KindBatch envelopes and one write+flush per frame, so the wire
-	// carries the seed's one-frame-per-message, one-syscall-per-frame shape.
-	NoBatch bool
 }
 
 func (c *ClientConfig) fill() {
@@ -437,7 +433,7 @@ func DialTCP(addr string) (*Client, error) {
 }
 
 // DialTCPConfig connects to a remote compart server with explicit writer
-// configuration (csaw-bench uses NoBatch for the batching ablation).
+// configuration.
 func DialTCPConfig(addr string, cfg ClientConfig) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -553,7 +549,7 @@ func (c *Client) pump() {
 	}
 	bodies := make([][]byte, 0, maxCoalesce)
 	writeRun := func() bool {
-		written, err := writeCoalesced(w, bodies, c.cfg.NoBatch, onBatch)
+		written, err := writeCoalesced(w, bodies, onBatch)
 		c.sent.Add(uint64(written))
 		if err == nil {
 			err = w.Flush()
@@ -566,9 +562,6 @@ func (c *Client) pump() {
 		return true
 	}
 	drain := func() {
-		if c.cfg.NoBatch {
-			return
-		}
 		for len(bodies) < maxCoalesce {
 			select {
 			case b := <-c.queue:
@@ -601,7 +594,7 @@ func (c *Client) pump() {
 		}
 		bodies = append(bodies[:0], first)
 		drain()
-		if len(bodies) < maxCoalesce && !c.cfg.NoBatch {
+		if len(bodies) < maxCoalesce {
 			// The queue ran dry mid-run. Producers are usually mid-burst
 			// on another goroutine, so yield one scheduler pass and drain
 			// again: a short pause here regularly turns a solo

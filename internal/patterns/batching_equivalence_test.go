@@ -2,6 +2,8 @@ package patterns
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -11,18 +13,18 @@ import (
 )
 
 // TestBatchingEquivalence is the semantic gate for the pipelined remote-
-// update plane: every catalogue architecture, driven deterministically, must
-// reach the identical quiescent KV state and the identical set of failing
-// junctions with batching on (per-pair ack windows, cumulative acks, batch
-// KV application — the default) and off (Options.DisableBatching, the seed's
-// one-round-trip-per-update path), in both execution modes. Run under -race
-// in CI.
+// update plane (per-pair ack windows, cumulative acks, batch KV
+// application): every catalogue architecture, driven deterministically, must
+// reach the quiescent KV state and the set of failing junctions recorded in
+// testdata/quiescent/<entry>.txt, in both execution modes. The files are
+// frozen output of the retired one-round-trip-per-update plane, on which all
+// four {compiled, interpreted} x {batched, unbatched} modes agreed, so they
+// stand in for that plane as the oracle. Run under -race in CI.
 func TestBatchingEquivalence(t *testing.T) {
-	run := func(t *testing.T, entry CatalogueEntry, interpreted, disableBatching bool) equivResult {
+	run := func(t *testing.T, entry CatalogueEntry, interpreted bool) string {
 		t.Helper()
 		sys := startSystem(t, entry.Build(), runtime.Options{
 			DisableCompiledPlan: interpreted,
-			DisableBatching:     disableBatching,
 			Trace:               obsv.NewRingSink(8192),
 		})
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -31,31 +33,34 @@ func TestBatchingEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		driveEntry(ctx, t, entry.Name, sys)
-		return equivResult{
-			state:   quiesce(t, sys),
-			drivers: driverErrorJunctions(sys),
+		state := quiesce(t, sys)
+		var b strings.Builder
+		b.WriteString(state)
+		b.WriteString("drivers:")
+		for _, fq := range driverErrorJunctions(sys) {
+			b.WriteString(" " + fq)
 		}
+		b.WriteString("\n")
+		return b.String()
 	}
 	for _, entry := range Catalogue() {
 		entry := entry
 		t.Run(entry.Name, func(t *testing.T) {
 			t.Parallel()
-			base := run(t, entry, false, false)
+			want, err := os.ReadFile(filepath.Join("testdata", "quiescent", entry.Name+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, v := range []struct {
-				name                         string
-				interpreted, disableBatching bool
+				name        string
+				interpreted bool
 			}{
-				{"compiled/unbatched", false, true},
-				{"interpreted/batched", true, false},
-				{"interpreted/unbatched", true, true},
+				{"compiled/batched", false},
+				{"interpreted/batched", true},
 			} {
-				got := run(t, entry, v.interpreted, v.disableBatching)
-				if got.state != base.state {
-					t.Errorf("%s: quiescent KV state diverges from compiled/batched:\n--- compiled/batched ---\n%s--- %s ---\n%s",
-						v.name, base.state, v.name, got.state)
-				}
-				if strings.Join(got.drivers, ",") != strings.Join(base.drivers, ",") {
-					t.Errorf("%s: driver-error junctions diverge: base=%v got=%v", v.name, base.drivers, got.drivers)
+				if got := run(t, entry, v.interpreted); got != string(want) {
+					t.Errorf("%s: quiescent fingerprint diverges from the recorded one:\n--- recorded ---\n%s--- %s ---\n%s",
+						v.name, want, v.name, got)
 				}
 			}
 		})

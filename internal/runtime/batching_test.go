@@ -37,54 +37,38 @@ func blackholeProgram(width int) *dsl.Program {
 }
 
 // TestSendUpdateCtxCancelLeavesNoWaiters is the regression test for the
-// ctx-done paths of both remote-update planes: cancelling the invocation
+// ctx-done path of the remote-update plane: cancelling the invocation
 // mid-flight must return promptly and leave no waiter behind in the ack
-// window (pipelined path) or the global ack table (seed path). The seed
-// path's ctx-done exit used to leak its per-update ack timer until Stop was
-// deferred; the waiter-table checks here pin the bookkeeping that fix
-// relies on.
+// window.
 func TestSendUpdateCtxCancelLeavesNoWaiters(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		name := "pipelined"
-		if disable {
-			name = "seed-unbatched"
-		}
-		t.Run(name, func(t *testing.T) {
-			netA := compart.NewNetwork(1)
-			defer netA.Close()
-			s := mustSystem(t, blackholeProgram(1), Options{
-				Net:             netA,
-				AckTimeout:      30 * time.Second, // only ctx can end the wait
-				DisableBatching: disable,
-			})
-			defer s.Close()
-			if err := s.StartInstance("f", nil); err != nil {
-				t.Fatal(err)
-			}
-			// g's endpoint swallows every update: no ack will ever arrive.
-			netA.Register("g::junction", func(compart.Message) {})
-
-			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-			defer cancel()
-			start := time.Now()
-			err := s.Invoke(ctx, "f", "junction")
-			if err == nil {
-				t.Fatal("invoke succeeded against a black-hole peer")
-			}
-			if elapsed := time.Since(start); elapsed > 5*time.Second {
-				t.Fatalf("ctx-cancelled update took %v to return", elapsed)
-			}
-			if n := s.pendingAcks("f::junction", "g::junction"); n != 0 {
-				t.Fatalf("%d waiters leaked in the ack window after cancellation", n)
-			}
-			s.ackMu.Lock()
-			leaked := len(s.ackWait)
-			s.ackMu.Unlock()
-			if leaked != 0 {
-				t.Fatalf("%d entries leaked in the seed ack table after cancellation", leaked)
-			}
+	t.Run("pipelined", func(t *testing.T) {
+		netA := compart.NewNetwork(1)
+		defer netA.Close()
+		s := mustSystem(t, blackholeProgram(1), Options{
+			Net:        netA,
+			AckTimeout: 30 * time.Second, // only ctx can end the wait
 		})
-	}
+		defer s.Close()
+		if err := s.StartInstance("f", nil); err != nil {
+			t.Fatal(err)
+		}
+		// g's endpoint swallows every update: no ack will ever arrive.
+		netA.Register("g::junction", func(compart.Message) {})
+
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		err := s.Invoke(ctx, "f", "junction")
+		if err == nil {
+			t.Fatal("invoke succeeded against a black-hole peer")
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("ctx-cancelled update took %v to return", elapsed)
+		}
+		if n := s.pendingAcks("f::junction", "g::junction"); n != 0 {
+			t.Fatalf("%d waiters leaked in the ack window after cancellation", n)
+		}
+	})
 }
 
 // TestCumulativeAckPipelining drives a wide par of remote asserts through

@@ -121,13 +121,10 @@ func newJunction(s *System, inst *Instance, def *dsl.JunctionDef, net *compart.N
 	return j
 }
 
-// endpointHandlers returns the handler pair the junction registers on the
-// substrate, respecting the batching ablation (nil batch handler there, so
-// envelopes decode to per-message deliveries).
+// endpointHandlers returns the handler pair the junction's endpoint is
+// registered (or released from a migration park) with: single frames and
+// whole delivered envelopes.
 func (j *Junction) endpointHandlers() (compart.Handler, compart.BatchHandler) {
-	if j.sys.opts.DisableBatching {
-		return j.handleMessage, nil
-	}
 	return j.handleMessage, j.handleBatch
 }
 

@@ -56,7 +56,10 @@ func TestMigrateMovesStateAndTraffic(t *testing.T) {
 	defer netA.Close()
 	defer netB.Close()
 	ring := obsv.NewRingSink(4096)
-	s := mustSystem(t, migProgram(), Options{Deploy: dep, AckTimeout: 10 * time.Second, Trace: ring})
+	// No drivers: g::main's guard never holds, so its driver's only effect
+	// would be a first scheduling at a goroutine-start-dependent moment,
+	// applying whatever is pending by then — the queue this test counts.
+	s := mustSystem(t, migProgram(), Options{Deploy: dep, AckTimeout: 10 * time.Second, Trace: ring, DisableDrivers: true})
 	defer s.Close()
 	for _, inst := range []string{"f", "g"} {
 		if err := s.StartInstance(inst, nil); err != nil {
@@ -162,7 +165,9 @@ func TestMigrateAbortOnTransferFailure(t *testing.T) {
 		return netB.Send(m)
 	})
 	ring := obsv.NewRingSink(4096)
-	s := mustSystem(t, migProgram(), Options{Deploy: dep, AckTimeout: 2 * time.Second, Trace: ring})
+	// No drivers, as in TestMigrateMovesStateAndTraffic: a late first
+	// scheduling of g::main would drain the pending queue this test counts.
+	s := mustSystem(t, migProgram(), Options{Deploy: dep, AckTimeout: 2 * time.Second, Trace: ring, DisableDrivers: true})
 	defer s.Close()
 	for _, inst := range []string{"f", "g"} {
 		if err := s.StartInstance(inst, nil); err != nil {
@@ -336,6 +341,79 @@ func TestStopAndCrashFailPendingWindowsFast(t *testing.T) {
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatalf("in-flight update still pending 10s after %s", name)
+			}
+		})
+	}
+}
+
+// TestStopWithBodyInFlightReturnsFast: stopping, crashing or closing around
+// an instance whose body is mid-flight must not wait out AckTimeout. The
+// instance's endpoints are gone, so an ack for the body's remote update could
+// never land; the send fails fast with ErrNotRunning instead.
+func TestStopWithBodyInFlightReturnsFast(t *testing.T) {
+	const ackTimeout = 3 * time.Second
+	prog := func(entered chan<- struct{}) *dsl.Program {
+		p := dsl.NewProgram()
+		p.Type("tau_f").Junction("junction", dsl.Def(
+			dsl.Decls(dsl.InitProp{Name: "Go", Init: true}),
+			dsl.Host{Label: "work", Fn: func(dsl.HostCtx) error {
+				select {
+				case entered <- struct{}{}:
+				default:
+				}
+				time.Sleep(100 * time.Millisecond)
+				return nil
+			}},
+			dsl.Retract{Prop: dsl.PR("Go")},
+			dsl.Assert{Target: dsl.J("g", "junction"), Prop: dsl.PR("Work")},
+		).Guarded(formula.P("Go")))
+		p.Type("tau_g").Junction("junction", dsl.Def(
+			dsl.Decls(dsl.InitProp{Name: "Work", Init: false}), dsl.Skip{}))
+		p.Instance("f", "tau_f").Instance("g", "tau_g")
+		p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "g"}})
+		return p
+	}
+	// The driver runs f's body in every mode but "invoke", where the
+	// application does and observes the body's error itself.
+	for _, mode := range []string{"stop", "crash", "close", "invoke"} {
+		t.Run(mode, func(t *testing.T) {
+			entered := make(chan struct{}, 1)
+			s := mustSystem(t, prog(entered), Options{AckTimeout: ackTimeout, DisableDrivers: mode == "invoke"})
+			if err := s.RunMain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			invoked := make(chan error, 1)
+			if mode == "invoke" {
+				go func() { invoked <- s.Invoke(context.Background(), "f", "junction") }()
+			}
+			select {
+			case <-entered:
+			case <-time.After(10 * time.Second):
+				t.Fatal("f's body never started")
+			}
+			start := time.Now()
+			switch mode {
+			case "stop", "invoke":
+				if err := s.StopInstance("f"); err != nil {
+					t.Fatal(err)
+				}
+			case "crash":
+				s.CrashInstance("f")
+			case "close":
+				s.Close()
+			}
+			if mode == "invoke" {
+				select {
+				case err := <-invoked:
+					if !errors.Is(err, ErrNotRunning) {
+						t.Fatalf("in-flight body failed with %v, want ErrNotRunning", err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("invoke still pending 10s after stop")
+				}
+			}
+			if e := time.Since(start); e >= ackTimeout/10 {
+				t.Fatalf("%s took %v with a body in flight (AckTimeout %v)", mode, e, ackTimeout)
 			}
 		})
 	}

@@ -58,14 +58,6 @@ type Options struct {
 	// pre-plan runtime. The equivalence suite runs every pattern under both
 	// modes.
 	DisableCompiledPlan bool
-	// DisableBatching reverts the remote-update plane to the seed's
-	// one-round-trip-per-update path (ablation only): a global per-update
-	// ack channel map, one ack frame per update, per-message KV enqueue.
-	// The default path pipelines updates through per-(sender,receiver)
-	// windows with cumulative acks and applies delivered batches in one KV
-	// lock acquisition. The two modes speak different ack wire formats, so
-	// every system bridged into one deployment must agree on this setting.
-	DisableBatching bool
 	// Trace installs a structured trace sink (internal/obsv): every
 	// scheduling decision, guard evaluation, transaction outcome, wait
 	// transition, remote-update hop and instance lifecycle event is emitted
@@ -126,14 +118,8 @@ type System struct {
 	instances map[string]*Instance
 	apps      map[string]any
 
-	// Seed ack plumbing (Options.DisableBatching): one channel per in-flight
-	// update, resolved by an ack frame echoing its global sequence number.
-	ackSeq  atomic.Uint64
-	ackMu   sync.Mutex
-	ackWait map[uint64]chan struct{}
-
-	// Pipelined ack plumbing (the default): one window per directed
-	// (sender,receiver) junction pair, acknowledged cumulatively.
+	// Ack plumbing: one window per directed (sender,receiver) junction
+	// pair, acknowledged cumulatively.
 	winMu   sync.Mutex
 	windows map[pairKey]*ackWindow
 
@@ -204,7 +190,6 @@ func New(p *dsl.Program, opts Options) (*System, error) {
 		obs:       obsv.NewObserver(),
 		instances: map[string]*Instance{},
 		apps:      map[string]any{},
-		ackWait:   map[uint64]chan struct{}{},
 		windows:   map[pairKey]*ackWindow{},
 		staged:    map[string][]byte{},
 		migAcks:   make(chan string, 64),
@@ -412,13 +397,15 @@ func (s *System) StopInstance(name string) error {
 	if s.obs.Tracing() {
 		s.obs.Emit(obsv.Event{Kind: obsv.EvInstanceStop, Junction: name})
 	}
+	// A stop is deliberate and observable: updates in flight toward this
+	// instance, and acks owed to its deregistered endpoints, can never
+	// arrive, so fail both directions' windows now rather than leaving each
+	// waiter to ride out the progress watchdog. This precedes stopDriver,
+	// which waits for a body blocked on exactly such an ack.
+	s.failWindowsOf(name)
 	for _, j := range inst.junctions {
 		j.stopDriver()
 	}
-	// A stop is deliberate and observable: updates already in flight toward
-	// this instance can never be acknowledged, so fail their windows now
-	// rather than leaving each sender to ride out the progress watchdog.
-	s.failWindowsTo(name)
 	return nil
 }
 
@@ -445,32 +432,43 @@ func (s *System) CrashInstance(name string) {
 		}
 	}
 	s.mu.Unlock()
-	for _, j := range inst.junctions {
-		j.stopDriver()
-	}
 	// Crashed endpoints answer new sends with ErrEndpointDown, but updates
 	// already in flight would otherwise wait out the watchdog; fail their
 	// windows immediately, same as StopInstance.
-	s.failWindowsTo(name)
+	s.failWindowsOf(name)
+	for _, j := range inst.junctions {
+		j.stopDriver()
+	}
 }
 
-// failWindowsTo fails every pipelined ack window addressed to a junction of
-// the named instance with ErrPeerDown: the peer is gone (stopped or
-// crashed), so in-flight updates can never be acknowledged. The windows
-// survive (fail clears waiters but keeps the pair's sequence space), so a
-// restarted instance resumes cleanly.
-func (s *System) failWindowsTo(name string) {
+// failWindowsOf fails every ack window with an end at a junction of the
+// named instance, which has just stopped or crashed. Windows addressed to it
+// fail with ErrPeerDown: in-flight updates can never be acknowledged.
+// Windows it sends on fail with ErrNotRunning: its endpoints are gone, so
+// acks for its own in-flight updates cannot land. Callers clear the
+// instance's running flag first; sendUpdate checks that flag under the
+// window lock, so no waiter registers behind this pass. The windows survive
+// (fail clears waiters but keeps the pair's sequence space), so a restarted
+// instance resumes cleanly.
+func (s *System) failWindowsOf(name string) {
 	prefix := name + "::"
+	type staleWindow struct {
+		w   *ackWindow
+		err error
+	}
 	s.winMu.Lock()
-	var stale []*ackWindow
+	var stale []staleWindow
 	for k, w := range s.windows {
-		if strings.HasPrefix(k.to, prefix) {
-			stale = append(stale, w)
+		switch {
+		case strings.HasPrefix(k.to, prefix):
+			stale = append(stale, staleWindow{w, fmt.Errorf("%w (%s)", ErrPeerDown, k.to)})
+		case strings.HasPrefix(k.from, prefix):
+			stale = append(stale, staleWindow{w, fmt.Errorf("%w: %s", ErrNotRunning, k.from)})
 		}
 	}
 	s.winMu.Unlock()
-	for _, w := range stale {
-		w.fail(fmt.Errorf("%w (%s)", ErrPeerDown, w.to))
+	for _, sw := range stale {
+		sw.w.fail(sw.err)
 	}
 }
 
@@ -622,11 +620,8 @@ func (s *System) Close() {
 // network and forwarding proxies under the same name on every other
 // location, so senders always address their local network.
 func (s *System) registerEndpoints(j *Junction, loc *location) {
-	if s.opts.DisableBatching {
-		loc.net.Register(j.FQName, j.handleMessage)
-	} else {
-		loc.net.RegisterBatch(j.FQName, j.handleMessage, j.handleBatch)
-	}
+	h, bh := j.endpointHandlers()
+	loc.net.RegisterBatch(j.FQName, h, bh)
 	if !s.deploy.single() {
 		s.deploy.registerProxies(loc.name, j.FQName)
 	}
@@ -634,24 +629,18 @@ func (s *System) registerEndpoints(j *Junction, loc *location) {
 
 // --- remote update plumbing -------------------------------------------------
 //
-// Two wire-compatible halves share the same message shapes (seq-prefixed
-// prop/data payloads, KindControl "ack" frames) but differ in how acks are
-// granted and awaited:
+// Updates travel as seq-prefixed prop/data payloads; acks return as
+// KindControl "ack" frames. Each directed (sender,receiver) junction pair
+// owns an ackWindow carrying its own sequence space. Concurrent junctions
+// and par arms assign consecutive per-pair seqs and wait on their own
+// channel, so many updates ride the link at once. The receiver tracks the
+// contiguous delivery frontier per sender and answers with cumulative acks —
+// one ack frame (payload: 8-byte cum frontier plus optional 8-byte
+// out-of-order extras) completes every waiter at or below the frontier. One
+// batch of N updates costs one ack frame, not N.
 //
-//   - The pipelined default: each directed (sender,receiver) junction pair
-//     owns an ackWindow carrying its own sequence space. Concurrent
-//     junctions and par arms assign consecutive per-pair seqs and wait on
-//     their own channel, so many updates ride the link at once. The receiver
-//     tracks the contiguous delivery frontier per sender and answers with
-//     cumulative acks — one ack frame (payload: 8-byte cum frontier plus
-//     optional 8-byte out-of-order extras) completes every waiter at or
-//     below the frontier. One batch of N updates costs one ack frame, not N.
-//   - The seed ablation (Options.DisableBatching): a global sequence, one
-//     channel per update in ackWait, one ack frame echoing each update's
-//     seq. Kept verbatim so BENCH_net.json's ablation measures the seed path.
-//
-// Either way a statement completes only at its delivery acknowledgment —
-// the §6 contract `otherwise[t]` builds on.
+// A statement completes only at its delivery acknowledgment — the §6
+// contract `otherwise[t]` builds on.
 
 // pairKey identifies a directed (sender,receiver) junction pair.
 type pairKey struct{ from, to string }
@@ -835,16 +824,22 @@ func (s *System) ackPair(from, to string, cum uint64, extras []uint64) {
 // ctx's deadline; the per-window progress watchdog bounds how long a stuck
 // frontier can hold waiters (see ackWindow).
 func (s *System) sendUpdate(ctx context.Context, j *Junction, to string, kind compart.MessageKind, key string, flag bool, payload []byte) error {
-	if s.opts.DisableBatching {
-		return s.sendUpdateUnbatched(ctx, j, to, kind, key, flag, payload)
-	}
 	from := j.FQName
 	w := s.junctionWindow(j, to)
-	ch := ackChPool.Get().(chan error)
 	tracing := s.obs.Tracing()
 
 	w.sendMu.Lock()
 	w.mu.Lock()
+	if !j.inst.running.Load() {
+		// Checked under w.mu: stopping an instance clears running before it
+		// fails the instance's outbound windows, so a waiter is either
+		// refused here or completed by that pass. Its ack could never land —
+		// the sender's endpoint is already deregistered.
+		w.mu.Unlock()
+		w.sendMu.Unlock()
+		return fmt.Errorf("%w: %s", ErrNotRunning, from)
+	}
+	ch := ackChPool.Get().(chan error)
 	w.nextSeq++
 	seq := w.nextSeq
 	w.waiters[seq] = ch
@@ -917,72 +912,6 @@ func (s *System) sendUpdate(ctx context.Context, j *Junction, to string, kind co
 // in-flight update, and every code path ends with the channel quiescent —
 // either its single send was received, or it was forgotten before any send.
 var ackChPool = sync.Pool{New: func() any { return make(chan error, 1) }}
-
-// sendUpdateUnbatched is the seed remote-update path, selected by
-// Options.DisableBatching: one global sequence number, one ack channel and
-// one round trip per update. The stop is called on every exit so no timer
-// outlives its statement (the ctx-done path used to leak one until Stop was
-// deferred).
-func (s *System) sendUpdateUnbatched(ctx context.Context, j *Junction, to string, kind compart.MessageKind, key string, flag bool, payload []byte) error {
-	from := j.FQName
-	seq := s.ackSeq.Add(1)
-	ch := make(chan struct{}, 1)
-	var start time.Time
-	// Same 1-in-8 ack-latency sampling as the pipelined path, so the
-	// batching ablation compares like for like.
-	timing := s.obs.Timing() && (s.obs.Tracing() || seq&7 == 0)
-	if timing {
-		start = time.Now()
-	}
-	s.ackMu.Lock()
-	s.ackWait[seq] = ch
-	s.ackMu.Unlock()
-	defer func() {
-		s.ackMu.Lock()
-		delete(s.ackWait, seq)
-		s.ackMu.Unlock()
-	}()
-
-	body := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint64(body, seq)
-	copy(body[8:], payload)
-	if err := j.net.Send(compart.Message{From: from, To: to, Kind: kind, Key: key, Flag: flag, Payload: body}); err != nil {
-		if errors.Is(err, compart.ErrEndpointDown) {
-			return fmt.Errorf("%w (%s)", ErrPeerDown, to)
-		}
-		return fmt.Errorf("%w: %v", ErrSendFailed, err)
-	}
-	timer := time.NewTimer(s.opts.AckTimeout)
-	defer timer.Stop()
-	select {
-	case <-ch:
-		j.met.RemoteAcked.Add(1)
-		if timing {
-			j.met.Ack.Observe(time.Since(start))
-		}
-		if s.obs.Tracing() {
-			s.obs.Emit(obsv.Event{Kind: obsv.EvRemoteAcked, Junction: from, Key: to})
-		}
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("%w: awaiting ack from %s", ErrTimeout, to)
-	case <-timer.C:
-		return fmt.Errorf("%w: no ack from %s within %s", ErrSendFailed, to, s.opts.AckTimeout)
-	}
-}
-
-// ack resolves a pending seed-path acknowledgment.
-func (s *System) ack(seq uint64) {
-	s.ackMu.Lock()
-	ch, ok := s.ackWait[seq]
-	s.ackMu.Unlock()
-	if ok {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-}
 
 // recvTrack is the receiver-side delivery tracking for one sending junction:
 // contig is the contiguous frontier (every seq <= contig delivered), oo the
@@ -1083,10 +1012,6 @@ func (j *Junction) handleMessage(m compart.Message) {
 		if m.Key != "ack" || len(m.Payload) < 8 {
 			return
 		}
-		if j.sys.opts.DisableBatching {
-			j.sys.ack(binary.BigEndian.Uint64(m.Payload))
-			return
-		}
 		// Cumulative frontier first, then vectored extras; the window is
 		// keyed by (this junction, acking peer).
 		cum := binary.BigEndian.Uint64(m.Payload)
@@ -1096,40 +1021,8 @@ func (j *Junction) handleMessage(m compart.Message) {
 		}
 		j.sys.ackPair(j.FQName, m.From, cum, extras)
 	case compart.KindProp, compart.KindData:
-		u, seq, ok := decodeUpdate(m)
-		if !ok {
-			return
-		}
-		if j.sys.opts.DisableLocalPriority {
-			// Ablation mode: apply immediately, bypassing the pending queue.
-			j.applyImmediately(u)
-		} else {
-			j.table.Enqueue(u)
-		}
-		j.met.RemoteQueued.Add(1)
-		if j.sys.opts.DisableBatching {
-			if j.sys.obs.Tracing() {
-				j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: m.Key})
-			}
-			// Seed path: echo the update's own sequence number.
-			var ackBody [8]byte
-			binary.BigEndian.PutUint64(ackBody[:], seq)
-			_ = j.net.Send(compart.Message{
-				From: j.FQName, To: m.From, Kind: compart.KindControl, Key: "ack", Payload: ackBody[:],
-			})
-			return
-		}
-		cum, extra := j.noteDelivered(m.From, seq)
-		if j.sys.obs.Tracing() {
-			j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: m.Key, Peer: m.From, N: int64(seq)})
-		}
-		var extras []uint64
-		if extra {
-			extras = []uint64{seq}
-		}
-		_ = j.net.Send(compart.Message{
-			From: j.FQName, To: m.From, Kind: compart.KindControl, Key: "ack", Payload: appendAck(cum, extras),
-		})
+		_, acks := j.receive([]compart.Message{m})
+		j.sendAcks(acks)
 	}
 }
 
@@ -1138,73 +1031,83 @@ func (j *Junction) handleMessage(m compart.Message) {
 // acquisition (kv.EnqueueBatch) and one ack frame per sender: the batched
 // receive path the per-destination coalescing senders feed.
 func (j *Junction) handleBatch(msgs []compart.Message) {
+	n, acks := j.receive(msgs)
+	if n > 0 {
+		j.met.RemoteBatches.Add(1)
+		if j.sys.obs.Tracing() {
+			peer := ""
+			if len(acks) == 1 {
+				peer = acks[0].from
+			}
+			j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteBatch, Junction: j.FQName, Peer: peer, N: int64(n)})
+		}
+	}
+	j.sendAcks(acks)
+}
+
+// pairAck is the ack a delivery group owes one sender: its cumulative
+// frontier plus the seqs that landed out of order.
+type pairAck struct {
+	from   string
+	cum    uint64
+	extras []uint64
+}
+
+// receive is the per-update receive step of both delivery paths: each
+// prop/data message is decoded, recorded in its sender's delivery frontier
+// and traced, then the group is enqueued in one table lock acquisition (or
+// applied at once under the local-priority ablation). Control frames riding
+// the group take the singular path in arrival order. It returns how many
+// updates were enqueued and the acks owed, one per sender in
+// first-appearance order — delivery groups usually have a single origin, so
+// a linear scan is cheap and keeps ack emission deterministic.
+func (j *Junction) receive(msgs []compart.Message) (n int, acks []pairAck) {
 	tracing := j.sys.obs.Tracing()
 	updates := make([]kv.Update, 0, len(msgs))
-	// Per-sender ack accumulation. Delivery groups usually have a single
-	// origin (one coalescing sender), so first-appearance order with a
-	// linear scan is cheap and keeps ack emission deterministic.
-	type pairAck struct {
-		from   string
-		cum    uint64
-		extras []uint64
-	}
-	var acks []*pairAck
 	for _, m := range msgs {
-		switch m.Kind {
-		case compart.KindProp, compart.KindData:
-			u, seq, ok := decodeUpdate(m)
-			if !ok {
-				continue
-			}
-			updates = append(updates, u)
-			cum, extra := j.noteDelivered(m.From, seq)
-			var pa *pairAck
-			for _, a := range acks {
-				if a.from == m.From {
-					pa = a
-					break
-				}
-			}
-			if pa == nil {
-				pa = &pairAck{from: m.From}
-				acks = append(acks, pa)
-			}
-			pa.cum = cum
-			if extra {
-				pa.extras = append(pa.extras, seq)
-			}
-			if tracing {
-				j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: m.Key, Peer: m.From, N: int64(seq)})
-			}
-		default:
-			// Control frames (acks) riding the same envelope take the
-			// singular path.
+		if m.Kind != compart.KindProp && m.Kind != compart.KindData {
 			j.handleMessage(m)
+			continue
 		}
-	}
-	if len(updates) > 0 {
-		if j.sys.opts.DisableLocalPriority {
-			for _, u := range updates {
-				j.applyImmediately(u)
-			}
-		} else {
-			j.table.EnqueueBatch(updates)
+		u, seq, ok := decodeUpdate(m)
+		if !ok {
+			continue
 		}
-		j.met.RemoteQueued.Add(uint64(len(updates)))
-		j.met.RemoteBatches.Add(1)
+		updates = append(updates, u)
+		cum, extra := j.noteDelivered(m.From, seq)
+		i := 0
+		for i < len(acks) && acks[i].from != m.From {
+			i++
+		}
+		if i == len(acks) {
+			acks = append(acks, pairAck{from: m.From})
+		}
+		acks[i].cum = cum
+		if extra {
+			acks[i].extras = append(acks[i].extras, seq)
+		}
 		if tracing {
-			peer := updates[0].From
-			for _, u := range updates[1:] {
-				if u.From != peer {
-					peer = ""
-					break
-				}
-			}
-			j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteBatch, Junction: j.FQName, Peer: peer, N: int64(len(updates))})
+			j.sys.obs.Emit(obsv.Event{Kind: obsv.EvRemoteQueued, Junction: j.FQName, Key: m.Key, Peer: m.From, N: int64(seq)})
 		}
 	}
-	// Acks leave after the updates are enqueued: a sender's statement must
-	// not complete before its update is visible to the receiving table.
+	if len(updates) == 0 {
+		return 0, nil
+	}
+	if j.sys.opts.DisableLocalPriority {
+		for _, u := range updates {
+			j.applyImmediately(u)
+		}
+	} else {
+		j.table.EnqueueBatch(updates)
+	}
+	j.met.RemoteQueued.Add(uint64(len(updates)))
+	return len(updates), acks
+}
+
+// sendAcks answers a delivery group with one ack frame per sender. Callers
+// send only after the group is enqueued: a sender's statement must not
+// complete before its update is visible to the receiving table.
+func (j *Junction) sendAcks(acks []pairAck) {
 	for _, pa := range acks {
 		_ = j.net.Send(compart.Message{
 			From: j.FQName, To: pa.from, Kind: compart.KindControl, Key: "ack", Payload: appendAck(pa.cum, pa.extras),
