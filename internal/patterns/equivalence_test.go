@@ -251,7 +251,9 @@ func TestEquivalenceUnderLocalPriorityAblation(t *testing.T) {
 // TestKitchenSinkEquivalence drives a synthetic program that concentrates
 // the statement forms whose compiled closures were hand-mirrored from
 // exec.go — case with break/next/reconsider, nested scope/txn rollback,
-// verify, keep, if/else, par, idx assignment — through both execution modes.
+// verify, keep, if/else, par, idx assignment, and a par of remote updates
+// (one send group on the compiled path) to a second instance — through both
+// execution modes.
 func TestKitchenSinkEquivalence(t *testing.T) {
 	build := func() *dsl.Program {
 		p := dsl.NewProgram()
@@ -300,9 +302,22 @@ func TestKitchenSinkEquivalence(t *testing.T) {
 				dsl.Assert{Prop: dsl.PRAt("P", "x")},
 				dsl.Retract{Prop: dsl.PR("A")},
 			},
+			dsl.Par{
+				dsl.Assert{Target: dsl.J("k", "j"), Prop: dsl.PR("R1")},
+				dsl.Retract{Target: dsl.J("k", "j"), Prop: dsl.PR("R2")},
+				dsl.Write{Data: "n", To: dsl.J("k", "j")},
+			},
 		))
-		p.Instance("i", "T")
-		p.SetMain(dsl.Start{Instance: "i"})
+		p.Type("K").Junction("j", dsl.Def(
+			dsl.Decls(
+				dsl.InitProp{Name: "R1", Init: false},
+				dsl.InitProp{Name: "R2", Init: true},
+				dsl.InitData{Name: "n"},
+			),
+			dsl.Skip{},
+		))
+		p.Instance("i", "T").Instance("k", "K")
+		p.SetMain(dsl.Par{dsl.Start{Instance: "i"}, dsl.Start{Instance: "k"}})
 		return p
 	}
 	run := func(interpreted bool) string {
@@ -325,5 +340,8 @@ func TestKitchenSinkEquivalence(t *testing.T) {
 	}
 	if !strings.Contains(c, "C=true") || !strings.Contains(c, "n=73756e6b") {
 		t.Errorf("kitchen-sink did not reach the expected final state:\n%s", c)
+	}
+	if !strings.Contains(c, "k::j: R1=true R2=false n=73756e6b\n") {
+		t.Errorf("kitchen-sink remote par did not reach k::j:\n%s", c)
 	}
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -39,34 +40,39 @@ func blackholeProgram(width int) *dsl.Program {
 // TestSendUpdateCtxCancelLeavesNoWaiters is the regression test for the
 // ctx-done path of the remote-update plane: cancelling the invocation
 // mid-flight must return promptly and leave no waiter behind in the ack
-// window.
+// window — for a single statement (a send group of one) and for a par of
+// remote asserts issued as one group.
 func TestSendUpdateCtxCancelLeavesNoWaiters(t *testing.T) {
 	t.Run("pipelined", func(t *testing.T) {
-		netA := compart.NewNetwork(1)
-		defer netA.Close()
-		s := mustSystem(t, blackholeProgram(1), Options{
-			Net:        netA,
-			AckTimeout: 30 * time.Second, // only ctx can end the wait
-		})
-		defer s.Close()
-		if err := s.StartInstance("f", nil); err != nil {
-			t.Fatal(err)
-		}
-		// g's endpoint swallows every update: no ack will ever arrive.
-		netA.Register("g::junction", func(compart.Message) {})
+		for _, width := range []int{1, 8} {
+			t.Run(fmt.Sprintf("width%d", width), func(t *testing.T) {
+				netA := compart.NewNetwork(1)
+				defer netA.Close()
+				s := mustSystem(t, blackholeProgram(width), Options{
+					Net:        netA,
+					AckTimeout: 30 * time.Second, // only ctx can end the wait
+				})
+				defer s.Close()
+				if err := s.StartInstance("f", nil); err != nil {
+					t.Fatal(err)
+				}
+				// g's endpoint swallows every update: no ack will ever arrive.
+				netA.Register("g::junction", func(compart.Message) {})
 
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		defer cancel()
-		start := time.Now()
-		err := s.Invoke(ctx, "f", "junction")
-		if err == nil {
-			t.Fatal("invoke succeeded against a black-hole peer")
-		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Fatalf("ctx-cancelled update took %v to return", elapsed)
-		}
-		if n := s.pendingAcks("f::junction", "g::junction"); n != 0 {
-			t.Fatalf("%d waiters leaked in the ack window after cancellation", n)
+				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+				defer cancel()
+				start := time.Now()
+				err := s.Invoke(ctx, "f", "junction")
+				if !errors.Is(err, ErrTimeout) {
+					t.Fatalf("invoke against a black-hole peer: got %v, want ErrTimeout", err)
+				}
+				if elapsed := time.Since(start); elapsed > 5*time.Second {
+					t.Fatalf("ctx-cancelled update took %v to return", elapsed)
+				}
+				if n := s.pendingAcks("f::junction", "g::junction"); n != 0 {
+					t.Fatalf("%d waiters leaked in the ack window after cancellation", n)
+				}
+			})
 		}
 	})
 }
@@ -154,6 +160,59 @@ func TestWatchdogFailsStalledWindow(t *testing.T) {
 	}
 	if n := s.pendingAcks("f::junction", "g::junction"); n != 0 {
 		t.Fatalf("%d waiters leaked after window failure", n)
+	}
+}
+
+// TestParPartialPeerFailureKeepsBarrier: a par of remote asserts to a live
+// g, a crashed h and g again keeps the par barrier in both execution modes —
+// every arm is issued, so g queues both of its updates; the invocation fails
+// with the crashed peer's ErrPeerDown; and no waiter is left on either pair.
+func TestParPartialPeerFailureKeepsBarrier(t *testing.T) {
+	build := func() *dsl.Program {
+		p := dsl.NewProgram()
+		p.Type("tau_f").Junction("junction", dsl.Def(nil, dsl.Par{
+			dsl.Assert{Target: dsl.J("g", "junction"), Prop: dsl.PR("Work")},
+			dsl.Assert{Target: dsl.J("h", "junction"), Prop: dsl.PR("Work")},
+			dsl.Assert{Target: dsl.J("g", "junction"), Prop: dsl.PR("Work")},
+		}))
+		p.Type("tau_g").Junction("junction", dsl.Def(
+			dsl.Decls(dsl.InitProp{Name: "Work", Init: false}, dsl.InitProp{Name: "Go", Init: false}),
+			dsl.Skip{},
+		).Guarded(formula.P("Go"))) // never true: updates queue, acks still flow
+		p.Instance("f", "tau_f").Instance("g", "tau_g").Instance("h", "tau_g")
+		p.SetMain(dsl.Par{dsl.Start{Instance: "f"}, dsl.Start{Instance: "g"}, dsl.Start{Instance: "h"}})
+		return p
+	}
+	for _, interpreted := range []bool{false, true} {
+		name := "compiled"
+		if interpreted {
+			name = "interpreted"
+		}
+		t.Run(name, func(t *testing.T) {
+			s := mustSystem(t, build(), Options{AckTimeout: 10 * time.Second, DisableCompiledPlan: interpreted})
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := s.RunMain(ctx); err != nil {
+				t.Fatal(err)
+			}
+			s.CrashInstance("h")
+			err := s.Invoke(ctx, "f", "junction")
+			if !errors.Is(err, ErrPeerDown) {
+				t.Fatalf("par with a crashed peer: got %v, want ErrPeerDown", err)
+			}
+			g, err := s.Junction("g", "junction")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := g.met.RemoteQueued.Load(); n != 2 {
+				t.Fatalf("g queued %d updates, want both live arms (2)", n)
+			}
+			for _, to := range []string{"g::junction", "h::junction"} {
+				if n := s.pendingAcks("f::junction", to); n != 0 {
+					t.Fatalf("%d waiters left on f -> %s", n, to)
+				}
+			}
+		})
 	}
 }
 

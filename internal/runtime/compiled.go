@@ -210,31 +210,12 @@ func (j *Junction) compileExpr(e dsl.Expr) step {
 		}
 
 	case dsl.Write:
-		resolveTo := j.compileTarget(n.To)
-		return func(ctx context.Context) (signal, error) {
-			// The table's internal slice is safe here: sendUpdate copies the
-			// payload into the framed message body before handing it off.
-			payload, err := j.table.DataRef(n.Data)
-			if err != nil {
-				return sigNone, fmt.Errorf("write %s: %w", n.Data, err)
-			}
-			to, err := resolveTo()
-			if err != nil {
-				return sigNone, err
-			}
-			if to == j.FQName {
-				return sigNone, fmt.Errorf("runtime: %s: write to self", j.FQName)
-			}
-			if err := j.sys.sendUpdate(ctx, j, to, compart.KindData, n.Data, false, payload); err != nil {
-				return sigNone, err
-			}
-			return sigNone, nil
-		}
+		return j.sendStep(j.compileWrite(n))
 
 	case dsl.Assert:
-		return j.compilePropUpdate(n.Target, n.Prop, true)
+		return j.sendStep(j.compilePropUpdate(n.Target, n.Prop, true))
 	case dsl.Retract:
-		return j.compilePropUpdate(n.Target, n.Prop, false)
+		return j.sendStep(j.compilePropUpdate(n.Target, n.Prop, false))
 
 	case dsl.Wait:
 		return j.compileWait(n)
@@ -300,17 +281,22 @@ func (j *Junction) compileExpr(e dsl.Expr) step {
 
 // compilePar lowers parallel composition with the interpreter's barrier
 // semantics: all branches run, every failure is awaited, the first failure
-// (by branch order) wins, then the first non-none signal propagates.
+// (by branch order) wins, then the first non-none signal propagates. A par
+// whose every branch is a single remote update is one send group
+// (updateGroupStep); any other par runs its arms on pooled goroutines.
 func (j *Junction) compilePar(branches dsl.Par) step {
 	if len(branches) == 0 {
 		return func(context.Context) (signal, error) { return sigNone, nil }
 	}
+	if len(branches) == 1 {
+		return j.compileExpr(branches[0])
+	}
+	if preps := j.compileUpdatePreps(branches); preps != nil {
+		return j.updateGroupStep(preps)
+	}
 	steps := make([]step, len(branches))
 	for i, b := range branches {
 		steps[i] = j.compileExpr(b)
-	}
-	if len(steps) == 1 {
-		return steps[0]
 	}
 	return func(ctx context.Context) (signal, error) {
 		sigs := make([]signal, len(steps))
@@ -336,6 +322,85 @@ func (j *Junction) compilePar(branches dsl.Par) step {
 			}
 		}
 		return sigNone, nil
+	}
+}
+
+// updatePrep is a lowered single-update statement up to its send: it
+// resolves the name and target and applies the local-first table effect,
+// returning the remote update to issue, if any.
+type updatePrep func() (u remoteUpdate, remote bool, err error)
+
+// sendStep completes a single-update statement as a send group of one.
+func (j *Junction) sendStep(prep updatePrep) step {
+	return func(ctx context.Context) (signal, error) {
+		u, remote, err := prep()
+		if err != nil || !remote {
+			return sigNone, err
+		}
+		return sigNone, j.sys.sendUpdates(ctx, j, []remoteUpdate{u})
+	}
+}
+
+// compileUpdatePreps lowers the branches of a par in which every branch is
+// a single remote update — an assert/retract with a non-local target, or a
+// write — and returns nil for any other par.
+func (j *Junction) compileUpdatePreps(branches dsl.Par) []updatePrep {
+	preps := make([]updatePrep, len(branches))
+	for i, b := range branches {
+		switch n := b.(type) {
+		case dsl.Assert:
+			if n.Target.IsLocal() {
+				return nil
+			}
+			preps[i] = j.compilePropUpdate(n.Target, n.Prop, true)
+		case dsl.Retract:
+			if n.Target.IsLocal() {
+				return nil
+			}
+			preps[i] = j.compilePropUpdate(n.Target, n.Prop, false)
+		case dsl.Write:
+			preps[i] = j.compileWrite(n)
+		default:
+			return nil
+		}
+	}
+	return preps
+}
+
+// updateGroupStep runs a par of single remote updates from one goroutine:
+// each arm in branch order resolves and applies its local effect, the
+// resolved updates go out as one send group, and the step waits once. The
+// barrier semantics are the pooled-goroutine par's: every arm is issued,
+// every outcome awaited, and the first failure in branch order wins.
+func (j *Junction) updateGroupStep(preps []updatePrep) step {
+	return func(ctx context.Context) (signal, error) {
+		ups := make([]remoteUpdate, len(preps))
+		n := 0
+		// prepErr is the first arm that failed before its send; before counts
+		// the updates issued for the arms ahead of it.
+		var prepErr error
+		before := 0
+		for _, prep := range preps {
+			u, _, err := prep() // every arm targets a remote junction
+			if err != nil {
+				if prepErr == nil {
+					prepErr, before = err, n
+				}
+				continue
+			}
+			ups[n] = u
+			n++
+		}
+		err := j.sys.sendUpdates(ctx, j, ups[:n])
+		if prepErr != nil {
+			for _, u := range ups[:before] {
+				if u.err != nil {
+					return sigNone, u.err
+				}
+			}
+			return sigNone, prepErr
+		}
+		return sigNone, err
 	}
 }
 
@@ -389,41 +454,61 @@ func (j *Junction) compileTarget(ref dsl.JunctionRef) func() (string, error) {
 	}
 }
 
-// compilePropUpdate lowers assert/retract: local-first table update, then the
-// push to a non-local target, mirroring execPropUpdate.
-func (j *Junction) compilePropUpdate(target dsl.JunctionRef, pr dsl.PropRef, value bool) step {
+// compilePropUpdate lowers assert/retract up to its send: local-first table
+// update, then the remote update for a non-local target, mirroring
+// execPropUpdate.
+func (j *Junction) compilePropUpdate(target dsl.JunctionRef, pr dsl.PropRef, value bool) updatePrep {
 	resolveName := j.compilePropName(pr)
 	local := target.IsLocal()
 	var resolveTo func() (string, error)
 	if !local {
 		resolveTo = j.compileTarget(target)
 	}
-	return func(ctx context.Context) (signal, error) {
+	return func() (remoteUpdate, bool, error) {
 		name, err := resolveName()
 		if err != nil {
-			return sigNone, err
+			return remoteUpdate{}, false, err
 		}
 		if j.table.HasProp(name) {
 			if err := j.table.SetProp(name, value); err != nil {
-				return sigNone, err
+				return remoteUpdate{}, false, err
 			}
 		} else if local {
-			return sigNone, fmt.Errorf("runtime: %s: local proposition %q not declared", j.FQName, name)
+			return remoteUpdate{}, false, fmt.Errorf("runtime: %s: local proposition %q not declared", j.FQName, name)
 		}
 		if local {
-			return sigNone, nil
+			return remoteUpdate{}, false, nil
 		}
 		to, err := resolveTo()
 		if err != nil {
-			return sigNone, err
+			return remoteUpdate{}, false, err
 		}
 		if to == j.FQName {
-			return sigNone, fmt.Errorf("runtime: %s: assert/retract to self — use the local form", j.FQName)
+			return remoteUpdate{}, false, fmt.Errorf("runtime: %s: assert/retract to self — use the local form", j.FQName)
 		}
-		if err := j.sys.sendUpdate(ctx, j, to, compart.KindProp, name, value, nil); err != nil {
-			return sigNone, err
+		return remoteUpdate{to: to, kind: compart.KindProp, key: name, flag: value}, true, nil
+	}
+}
+
+// compileWrite lowers write up to its send.
+func (j *Junction) compileWrite(n dsl.Write) updatePrep {
+	resolveTo := j.compileTarget(n.To)
+	return func() (remoteUpdate, bool, error) {
+		// The table's internal slice is safe to hold until the send: the
+		// table replaces stored data rather than writing into it, and
+		// sendUpdates copies the payload into the framed message body.
+		payload, err := j.table.DataRef(n.Data)
+		if err != nil {
+			return remoteUpdate{}, false, fmt.Errorf("write %s: %w", n.Data, err)
 		}
-		return sigNone, nil
+		to, err := resolveTo()
+		if err != nil {
+			return remoteUpdate{}, false, err
+		}
+		if to == j.FQName {
+			return remoteUpdate{}, false, fmt.Errorf("runtime: %s: write to self", j.FQName)
+		}
+		return remoteUpdate{to: to, kind: compart.KindData, key: n.Data, payload: payload}, true, nil
 	}
 }
 

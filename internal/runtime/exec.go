@@ -152,7 +152,7 @@ func (j *Junction) exec(ctx context.Context, e dsl.Expr) (signal, error) {
 		if to == j.FQName {
 			return sigNone, fmt.Errorf("runtime: %s: write to self", j.FQName)
 		}
-		if err := j.sys.sendUpdate(ctx, j, to, compart.KindData, n.Data, false, payload); err != nil {
+		if err := j.sys.sendUpdates(ctx, j, []remoteUpdate{{to: to, kind: compart.KindData, key: n.Data, payload: payload}}); err != nil {
 			return sigNone, err
 		}
 		return sigNone, nil
@@ -269,7 +269,7 @@ func (j *Junction) execPropUpdate(ctx context.Context, target dsl.JunctionRef, p
 	if to == j.FQName {
 		return sigNone, fmt.Errorf("runtime: %s: assert/retract to self — use the local form", j.FQName)
 	}
-	if err := j.sys.sendUpdate(ctx, j, to, compart.KindProp, name, value, nil); err != nil {
+	if err := j.sys.sendUpdates(ctx, j, []remoteUpdate{{to: to, kind: compart.KindProp, key: name, flag: value}}); err != nil {
 		return sigNone, err
 	}
 	return sigNone, nil

@@ -12,10 +12,12 @@
 package runtime
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -446,7 +448,7 @@ func (s *System) CrashInstance(name string) {
 // fail with ErrPeerDown: in-flight updates can never be acknowledged.
 // Windows it sends on fail with ErrNotRunning: its endpoints are gone, so
 // acks for its own in-flight updates cannot land. Callers clear the
-// instance's running flag first; sendUpdate checks that flag under the
+// instance's running flag first; sendUpdates checks that flag under the
 // window lock, so no waiter registers behind this pass. The windows survive
 // (fail clears waiters but keeps the pair's sequence space), so a restarted
 // instance resumes cleanly.
@@ -631,19 +633,94 @@ func (s *System) registerEndpoints(j *Junction, loc *location) {
 //
 // Updates travel as seq-prefixed prop/data payloads; acks return as
 // KindControl "ack" frames. Each directed (sender,receiver) junction pair
-// owns an ackWindow carrying its own sequence space. Concurrent junctions
-// and par arms assign consecutive per-pair seqs and wait on their own
-// channel, so many updates ride the link at once. The receiver tracks the
-// contiguous delivery frontier per sender and answers with cumulative acks —
-// one ack frame (payload: 8-byte cum frontier plus optional 8-byte
-// out-of-order extras) completes every waiter at or below the frontier. One
-// batch of N updates costs one ack frame, not N.
+// owns an ackWindow carrying its own sequence space. Updates are issued in
+// send groups (sendUpdates): a single statement is a group of one, and a par
+// whose arms are all single remote updates is one group issued from one
+// goroutine (compilePar). Each update takes its pair's next seq and queues a
+// reference to its group slot in the window, in seq order; the group
+// completes on one pending counter when its last slot is acknowledged or
+// failed, so many updates ride the link at once behind a single wait. The
+// receiver tracks the contiguous delivery frontier per sender and answers
+// with cumulative acks — one ack frame (payload: 8-byte cum frontier plus
+// optional 8-byte out-of-order extras) completes the prefix of the window's
+// queue at or below the frontier. One batch of N updates costs one ack
+// frame, not N.
 //
 // A statement completes only at its delivery acknowledgment — the §6
 // contract `otherwise[t]` builds on.
 
 // pairKey identifies a directed (sender,receiver) junction pair.
 type pairKey struct{ from, to string }
+
+// remoteUpdate is one assert/retract/write addressed to a remote junction,
+// as issued by sendUpdates; err receives its outcome.
+type remoteUpdate struct {
+	to      string
+	kind    compart.MessageKind
+	key     string
+	flag    bool
+	payload []byte
+	err     error
+}
+
+// sendGroup is the waiter for one group send: a slot per update and one
+// pending count. Whoever completes a slot — an ack, a window failure, the
+// watchdog, or the sender itself on a send error or cancellation — writes
+// its outcome and decrements pending; the completion that reaches zero
+// signals done. Groups are pooled: every use ends with all slots complete
+// and its one done signal received, so a returned group is quiescent.
+type sendGroup struct {
+	pending atomic.Int64
+	done    chan struct{} // cap 1: one signal per use
+	slots   []groupSlot
+}
+
+// groupSlot is one update's completion state. The sender sets w, seq, timed
+// and start before registering the slot in w; its completer sets err and
+// acked, which the sender reads only after done.
+type groupSlot struct {
+	w     *ackWindow
+	seq   uint64 // 0 when the update was never registered
+	timed bool   // record send→ack time (tracing, or the 1-in-8 sample)
+	start time.Time
+	acked time.Time // ack processing time, when timed
+	err   error
+}
+
+var sendGroupPool = sync.Pool{New: func() any { return &sendGroup{done: make(chan struct{}, 1)} }}
+
+func getSendGroup(n int) *sendGroup {
+	g := sendGroupPool.Get().(*sendGroup)
+	if cap(g.slots) < n {
+		g.slots = make([]groupSlot, n)
+	} else {
+		g.slots = g.slots[:n]
+		clear(g.slots)
+	}
+	g.pending.Store(int64(n))
+	return g
+}
+
+// complete records slot i's outcome (at is its ack processing time, zero
+// unless acked and timed). The caller has exclusive ownership of the slot:
+// it removed the slot from its window, or the slot was never registered.
+// Completers may hold a window lock: the send on done cannot block, since it
+// happens once per use into an empty cap-1 channel.
+func (g *sendGroup) complete(i int, err error, at time.Time) {
+	sl := &g.slots[i]
+	sl.err = err
+	sl.acked = at
+	if g.pending.Add(-1) == 0 {
+		g.done <- struct{}{}
+	}
+}
+
+// waiter is a window's reference to one registered group slot.
+type waiter struct {
+	seq uint64
+	g   *sendGroup
+	i   int
+}
 
 // ackWindow is the per-pair pipelining state on the sender side.
 type ackWindow struct {
@@ -660,18 +737,71 @@ type ackWindow struct {
 	mu      sync.Mutex
 	nextSeq uint64
 	cum     uint64 // highest cumulatively acknowledged sequence
-	waiters map[uint64]chan error
+	// waiters[head:] are the registered slots in increasing seq order: a seq
+	// is assigned and its slot appended in one critical section. A cumulative
+	// ack therefore completes a prefix, at a cost proportional to what it
+	// completes; extras and forget find their seq by binary search.
+	waiters []waiter
+	head    int
 	// Watchdog state: instead of one timer per in-flight update, the window
 	// runs a single progress watchdog while waiters exist. acked counts
 	// completions; if a full AckTimeout passes with waiters pending and no
 	// completions, the frontier is stuck and the whole window fails. This
 	// bounds the oldest unacked update by at most 2x AckTimeout while
-	// keeping the per-update cost to a map insert (statement-level deadlines
-	// remain the job of otherwise[t]'s context).
+	// keeping the per-update cost to a queue append (statement-level
+	// deadlines remain the job of otherwise[t]'s context).
 	timer     *time.Timer
 	armed     bool
 	acked     uint64
 	lastAcked uint64
+}
+
+// pushLocked registers a slot whose seq was just assigned and arms the
+// watchdog; callers hold w.mu. The queue's backing array is reused: live
+// entries slide to the front instead of growing it.
+func (w *ackWindow) pushLocked(wt waiter) {
+	if len(w.waiters) == cap(w.waiters) && w.head > 0 {
+		n := copy(w.waiters, w.waiters[w.head:])
+		clear(w.waiters[n:])
+		w.waiters = w.waiters[:n]
+		w.head = 0
+	}
+	w.waiters = append(w.waiters, wt)
+	w.armLocked()
+}
+
+// popLocked drops the first n live waiters, which the caller has completed.
+func (w *ackWindow) popLocked(n int) {
+	w.head += n
+	if w.head == len(w.waiters) {
+		clear(w.waiters) // release the group references
+		w.waiters = w.waiters[:0]
+		w.head = 0
+	}
+}
+
+// removeLocked takes seq's waiter out of the queue, reporting whether it was
+// registered.
+func (w *ackWindow) removeLocked(seq uint64) (waiter, bool) {
+	live := w.waiters[w.head:]
+	k, ok := slices.BinarySearchFunc(live, seq, func(wt waiter, seq uint64) int { return cmp.Compare(wt.seq, seq) })
+	if !ok {
+		return waiter{}, false
+	}
+	wt := live[k]
+	copy(live[k:], live[k+1:])
+	live[len(live)-1] = waiter{}
+	w.waiters = w.waiters[:len(w.waiters)-1]
+	return wt, true
+}
+
+// failLocked completes every pending waiter with err.
+func (w *ackWindow) failLocked(err error) {
+	live := w.waiters[w.head:]
+	for _, wt := range live {
+		wt.g.complete(wt.i, err, time.Time{})
+	}
+	w.popLocked(len(live))
 }
 
 // armLocked (re)arms the watchdog; callers hold w.mu and have just added a
@@ -694,36 +824,26 @@ func (w *ackWindow) armLocked() {
 // frontier fails every pipelined update at once.
 func (w *ackWindow) watchdog() {
 	w.mu.Lock()
-	if len(w.waiters) == 0 {
+	defer w.mu.Unlock()
+	if len(w.waiters) == w.head {
 		w.armed = false
-		w.mu.Unlock()
 		return
 	}
 	if w.acked != w.lastAcked {
 		w.lastAcked = w.acked
 		w.timer.Reset(w.timeout)
-		w.mu.Unlock()
 		return
 	}
-	chs := make([]chan error, 0, len(w.waiters))
-	for seq, ch := range w.waiters {
-		delete(w.waiters, seq)
-		chs = append(chs, ch)
-	}
 	w.armed = false
-	w.mu.Unlock()
-	err := fmt.Errorf("%w: no ack from %s within %s", ErrSendFailed, w.to, w.timeout)
-	for _, ch := range chs {
-		ch <- err
-	}
+	w.failLocked(fmt.Errorf("%w: no ack from %s within %s", ErrSendFailed, w.to, w.timeout))
 }
 
 // forget removes seq's waiter, reporting whether it was still pending (false
-// means an ack or window failure already completed it).
+// means an ack or window failure already completed it). On true the caller
+// owns the slot and must complete it.
 func (w *ackWindow) forget(seq uint64) bool {
 	w.mu.Lock()
-	_, ok := w.waiters[seq]
-	delete(w.waiters, seq)
+	_, ok := w.removeLocked(seq)
 	w.mu.Unlock()
 	return ok
 }
@@ -734,15 +854,8 @@ func (w *ackWindow) forget(seq uint64) bool {
 // revived peer opens where the sequence space left off.
 func (w *ackWindow) fail(err error) {
 	w.mu.Lock()
-	chs := make([]chan error, 0, len(w.waiters))
-	for seq, ch := range w.waiters {
-		delete(w.waiters, seq)
-		chs = append(chs, ch)
-	}
+	w.failLocked(err)
 	w.mu.Unlock()
-	for _, ch := range chs {
-		ch <- err // cap-1 channels; sole completer after removal from the map
-	}
 }
 
 // window returns (creating on first use) the ack window for a directed pair.
@@ -751,7 +864,7 @@ func (s *System) window(from, to string) *ackWindow {
 	s.winMu.Lock()
 	w := s.windows[k]
 	if w == nil {
-		w = &ackWindow{to: to, timeout: s.opts.AckTimeout, waiters: map[uint64]chan error{}}
+		w = &ackWindow{to: to, timeout: s.opts.AckTimeout}
 		s.windows[k] = w
 	}
 	s.winMu.Unlock()
@@ -782,12 +895,13 @@ func (s *System) pendingAcks(from, to string) int {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.waiters)
+	return len(w.waiters) - w.head
 }
 
 // ackPair processes one cumulative/vectored ack frame on the sender side:
 // every waiter with seq <= cum completes, plus the explicitly listed
-// out-of-order extras.
+// out-of-order extras. Timed slots share one clock reading, taken when the
+// frame is processed.
 func (s *System) ackPair(from, to string, cum uint64, extras []uint64) {
 	s.winMu.Lock()
 	w := s.windows[pairKey{from, to}]
@@ -795,39 +909,104 @@ func (s *System) ackPair(from, to string, cum uint64, extras []uint64) {
 	if w == nil {
 		return
 	}
-	var done []chan error
+	var now time.Time
+	ack := func(wt waiter) {
+		var at time.Time
+		if wt.g.slots[wt.i].timed {
+			if now.IsZero() {
+				now = time.Now()
+			}
+			at = now
+		}
+		wt.g.complete(wt.i, nil, at)
+	}
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if cum > w.cum {
 		w.cum = cum
 	}
-	for seq, ch := range w.waiters {
-		if seq <= w.cum {
-			delete(w.waiters, seq)
-			done = append(done, ch)
-		}
+	live := w.waiters[w.head:]
+	n := 0
+	for n < len(live) && live[n].seq <= w.cum {
+		ack(live[n])
+		n++
 	}
+	w.popLocked(n)
 	for _, e := range extras {
-		if ch, ok := w.waiters[e]; ok {
-			delete(w.waiters, e)
-			done = append(done, ch)
+		if wt, ok := w.removeLocked(e); ok {
+			ack(wt)
+			n++
 		}
 	}
-	w.acked += uint64(len(done)) // progress, as seen by the watchdog
-	w.mu.Unlock()
-	for _, ch := range done {
-		ch <- nil
-	}
+	w.acked += uint64(n) // progress, as seen by the watchdog
 }
 
-// sendUpdate ships one assert/retract/write from a junction to a remote
-// junction and waits for its delivery acknowledgment. The wait respects
-// ctx's deadline; the per-window progress watchdog bounds how long a stuck
-// frontier can hold waiters (see ackWindow).
-func (s *System) sendUpdate(ctx context.Context, j *Junction, to string, kind compart.MessageKind, key string, flag bool, payload []byte) error {
-	from := j.FQName
-	w := s.junctionWindow(j, to)
+// sendUpdates issues one group of remote updates from a junction and waits
+// once for all of their delivery acknowledgments. Every update is issued:
+// each takes its pair's next seq and goes to the substrate under the
+// window's sendMu, so wire order is seq order. It sets each update's err and
+// returns the first failure in group order. The wait respects ctx's
+// deadline — when ctx ends, the still-pending updates are forgotten and fail
+// with ErrTimeout — and the per-window progress watchdog bounds how long a
+// stuck frontier can hold waiters (see ackWindow).
+func (s *System) sendUpdates(ctx context.Context, j *Junction, ups []remoteUpdate) error {
+	if len(ups) == 0 {
+		return nil
+	}
 	tracing := s.obs.Tracing()
+	timing := s.obs.Timing()
+	g := getSendGroup(len(ups))
+	for i := range ups {
+		s.issue(j, g, i, &ups[i], timing, tracing)
+	}
+	select {
+	case <-g.done:
+	case <-ctx.Done():
+		for i := range g.slots {
+			sl := &g.slots[i]
+			if sl.seq != 0 && sl.w.forget(sl.seq) {
+				g.complete(i, fmt.Errorf("%w: awaiting ack from %s", ErrTimeout, sl.w.to), time.Time{})
+			}
+		}
+		// The slots not forgotten were completed by an ack or a window
+		// failure that raced the cancellation; their outcomes stand.
+		<-g.done
+	}
+	var first error
+	var acked uint64
+	for i := range ups {
+		sl := &g.slots[i]
+		ups[i].err = sl.err
+		if sl.err != nil {
+			if first == nil {
+				first = sl.err
+			}
+			continue
+		}
+		acked++
+		var d time.Duration
+		if sl.timed {
+			d = sl.acked.Sub(sl.start)
+			j.met.Ack.Observe(d)
+		}
+		if tracing {
+			to := ups[i].to
+			s.obs.Emit(obsv.Event{At: sl.acked, Kind: obsv.EvRemoteAcked, Junction: j.FQName, Key: to, Peer: to, N: int64(sl.seq), Dur: d})
+		}
+	}
+	if acked > 0 {
+		j.met.RemoteAcked.Add(acked)
+	}
+	sendGroupPool.Put(g)
+	return first
+}
 
+// issue sends update i of group g and registers its slot in the pair's
+// window. A failure to issue completes the slot at once.
+func (s *System) issue(j *Junction, g *sendGroup, i int, u *remoteUpdate, timing, tracing bool) {
+	w := s.junctionWindow(j, u.to)
+	sl := &g.slots[i]
+	sl.w = w
 	w.sendMu.Lock()
 	w.mu.Lock()
 	if !j.inst.running.Load() {
@@ -837,81 +1016,42 @@ func (s *System) sendUpdate(ctx context.Context, j *Junction, to string, kind co
 		// the sender's endpoint is already deregistered.
 		w.mu.Unlock()
 		w.sendMu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNotRunning, from)
+		g.complete(i, fmt.Errorf("%w: %s", ErrNotRunning, j.FQName), time.Time{})
+		return
 	}
-	ch := ackChPool.Get().(chan error)
 	w.nextSeq++
 	seq := w.nextSeq
-	w.waiters[seq] = ch
-	w.armLocked()
-	w.mu.Unlock()
+	sl.seq = seq
 	// Ack latency is sampled 1-in-8 (the histogram is a sample, not a
-	// census): at pipelined rates two time.Now calls per update are a
+	// census): at pipelined rates two clock readings per update are a
 	// measurable share of the send path. Tracing still times every update —
 	// trace events carry their own Dur.
-	var start time.Time
-	timing := s.obs.Timing() && (tracing || seq&7 == 0)
-	if timing {
-		start = time.Now()
+	sl.timed = timing && (tracing || seq&7 == 0)
+	if sl.timed {
+		sl.start = time.Now()
 	}
-	body := make([]byte, 8+len(payload))
+	w.pushLocked(waiter{seq: seq, g: g, i: i})
+	w.mu.Unlock()
+	body := make([]byte, 8+len(u.payload))
 	binary.BigEndian.PutUint64(body, seq)
-	copy(body[8:], payload)
-	err := j.net.Send(compart.Message{From: from, To: to, Kind: kind, Key: key, Flag: flag, Payload: body})
+	copy(body[8:], u.payload)
+	err := j.net.Send(compart.Message{From: j.FQName, To: u.to, Kind: u.kind, Key: u.key, Flag: u.flag, Payload: body})
 	w.sendMu.Unlock()
-	if err != nil {
-		if w.forget(seq) {
-			ackChPool.Put(ch)
-		}
-		if errors.Is(err, compart.ErrEndpointDown) {
-			// Transport-level liveness (crash, or a BridgeLive whose
-			// heartbeats went unanswered) already knows the peer is gone:
-			// fail every pipelined update on this pair fast instead of
-			// waiting out one ack timeout per update.
-			werr := fmt.Errorf("%w (%s)", ErrPeerDown, to)
-			w.fail(werr)
-			return werr
-		}
-		return fmt.Errorf("%w: %v", ErrSendFailed, err)
+	if err == nil {
+		return
 	}
-
-	finish := func(werr error) error {
-		// The channel saw its one send and one receive; it is quiescent and
-		// can be recycled.
-		ackChPool.Put(ch)
-		if werr != nil {
-			return werr
-		}
-		j.met.RemoteAcked.Add(1)
-		var d time.Duration
-		if timing {
-			d = time.Since(start)
-			j.met.Ack.Observe(d)
-		}
-		if tracing {
-			s.obs.Emit(obsv.Event{Kind: obsv.EvRemoteAcked, Junction: from, Key: to, Peer: to, N: int64(seq), Dur: d})
-		}
-		return nil
+	if errors.Is(err, compart.ErrEndpointDown) {
+		// Transport-level liveness (crash, or a BridgeLive whose heartbeats
+		// went unanswered) already knows the peer is gone: fail every
+		// pipelined update on this pair, this one included, fast instead of
+		// waiting out one ack timeout per update.
+		w.fail(fmt.Errorf("%w (%s)", ErrPeerDown, u.to))
+		return
 	}
-
-	select {
-	case werr := <-ch:
-		return finish(werr)
-	case <-ctx.Done():
-		if !w.forget(seq) {
-			// An ack raced the cancellation: the update was delivered, the
-			// statement completes normally.
-			return finish(<-ch)
-		}
-		ackChPool.Put(ch) // forgotten before any send: quiescent
-		return fmt.Errorf("%w: awaiting ack from %s", ErrTimeout, to)
+	if w.forget(seq) {
+		g.complete(i, fmt.Errorf("%w: %v", ErrSendFailed, err), time.Time{})
 	}
 }
-
-// ackChPool recycles waiter channels: the pipelined path allocates one per
-// in-flight update, and every code path ends with the channel quiescent —
-// either its single send was received, or it was forgotten before any send.
-var ackChPool = sync.Pool{New: func() any { return make(chan error, 1) }}
 
 // recvTrack is the receiver-side delivery tracking for one sending junction:
 // contig is the contiguous frontier (every seq <= contig delivered), oo the
