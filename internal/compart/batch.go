@@ -26,8 +26,8 @@ import (
 const batchEnvelopeOverhead = 1 + 1 + 3*2 + 4
 
 // minMessageFrame is the smallest possible encoded message frame (empty
-// strings, empty payload); DecodeBatch uses it to reject absurd counts
-// before allocating.
+// strings, empty payload, and no Seq: only KindProp/KindData frames carry
+// one); DecodeBatch uses it to reject absurd counts before allocating.
 const minMessageFrame = 1 + 1 + 3*2 + 4
 
 // maxCoalesce bounds how many frames a coalescing writer drains into one
@@ -62,7 +62,8 @@ func appendBatchEnvelope(dst []byte, bodies [][]byte) []byte {
 // DecodeBatch unpacks the payload of a KindBatch message into its inner
 // messages. The payload must be consumed exactly; any framing inconsistency
 // fails the whole batch (the server counts it as one decode error). Every
-// inner message owns its memory (payloads are copied out of the envelope).
+// inner message owns its memory (payloads are copied out of the envelope),
+// so each is Owned.
 func DecodeBatch(payload []byte) ([]Message, error) {
 	return decodeBatch(payload, nil)
 }
@@ -71,7 +72,9 @@ func DecodeBatch(payload []byte) ([]Message, error) {
 // the inner messages intern their From/To/Key strings through it AND alias
 // their payloads into the envelope buffer — only valid when the caller owns
 // the envelope and never reuses its memory (Server.serveConn reads each
-// frame into a fresh buffer).
+// frame into a fresh buffer). Aliased members share the envelope, so they
+// are not Owned: a receiver that keeps one member's payload copies it
+// rather than pinning every other member's bytes.
 func decodeBatch(payload []byte, si strIntern) ([]Message, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("compart: truncated batch count")

@@ -53,24 +53,44 @@ const (
 )
 
 // Message is one unit of communication between endpoints.
+//
+// Ownership of Payload: a sender hands the substrate a payload it will not
+// write to again, but may keep reading (the runtime sends a KV table's
+// stored slice). A receiver may keep Payload beyond its handler only when
+// Owned is set; otherwise the bytes may be shared — with the sender's
+// memory (in-process delivery) or with a whole batch envelope — and a
+// receiver that keeps them must copy them first.
 type Message struct {
-	From    string
-	To      string
-	Kind    MessageKind
-	Key     string
-	Flag    bool
+	From string
+	To   string
+	Kind MessageKind
+	Key  string
+	Flag bool
+	// Seq is the sender's per-pair sequence number. It is on the wire only
+	// for KindProp and KindData frames; other kinds encode without it and
+	// decode with Seq 0.
+	Seq     uint64
 	Payload []byte
+	// Owned reports that Payload is a private buffer the receiver may keep
+	// without copying. It never crosses the wire: only decoders set it
+	// (Server's solo frames and the copying DecodeMessage/DecodeBatch).
+	// Batch interiors decoded by the server share their envelope and are
+	// not owned; Network.Send delivers the sender's Message as it is.
+	Owned bool
 }
 
 // Handler receives delivered messages. Handlers run on the delivering
-// goroutine and must not block for long.
+// goroutine and must not block for long. A handler may keep the message's
+// Payload only when Owned is set (see Message).
 type Handler func(Message)
 
 // BatchHandler receives a delivery group: several messages for the same
 // endpoint that crossed the network together (one decoded KindBatch
 // envelope, grouped by destination). Like Handler it runs on the delivering
 // goroutine. Endpoints registered without one (Register) receive group
-// members individually through their Handler.
+// members individually through their Handler. Group members decoded from an
+// envelope share its buffer and are not Owned: a handler copies what it
+// keeps, so one retained member never pins the whole envelope.
 type BatchHandler func([]Message)
 
 // LinkConfig describes the behaviour of a directed link.
@@ -259,6 +279,10 @@ func (n *Network) Stats() Stats {
 // Dropped messages return nil — loss is silent, as on a real network, but
 // every loss is counted: Dropped for link loss at send time, LostInFlight
 // for delayed deliveries that died in flight.
+//
+// The handler receives msg as it is, Payload and Owned included: an
+// in-process delivery shares the sender's payload memory, so senders leave
+// Owned unset and receivers copy what they keep.
 func (n *Network) Send(msg Message) error {
 	start := time.Now()
 	key := linkKey{msg.From, msg.To}

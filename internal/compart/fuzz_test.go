@@ -3,8 +3,10 @@ package compart
 // Fuzz targets for the update plane's wire decoders. Arbitrary bytes must
 // never panic DecodeMessage or DecodeBatch, and whatever they accept must be
 // a decode→encode→decode fixed point: re-encoding the decoded messages and
-// decoding again yields the same messages. FuzzDecodeBatch also holds the
-// server's interning, payload-aliasing batch decoder to DecodeBatch.
+// decoding again yields the same messages. Both targets also hold the
+// server's interning, payload-aliasing decoders to the public ones: every
+// wire field must agree, and Owned must be what each decoder promises —
+// set by the copying public decoders, unset on aliased payloads.
 
 import (
 	"bytes"
@@ -13,18 +15,25 @@ import (
 	"testing"
 )
 
-// fuzzSeedMessages are the frame shapes the runtime sends: seq-prefixed
-// prop and data updates, a cumulative ack with a vectored extra, and an
-// empty message.
+// fuzzSeedMessages are the frame shapes the runtime sends: a control frame
+// with no fields, prop and data updates carrying their seq in the header, a
+// cumulative ack with a vectored extra, and an empty update.
 func fuzzSeedMessages() []Message {
-	seq := binary.BigEndian.AppendUint64(nil, 7)
 	ack := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, 41), 43)
 	return []Message{
-		{},
-		{From: "f::junction", To: "g::junction", Kind: KindProp, Key: "Work", Flag: true, Payload: seq},
-		{From: "f::junction", To: "g::junction", Kind: KindData, Key: "n", Payload: append(append([]byte(nil), seq...), "sunk"...)},
+		{Kind: KindControl},
+		{From: "f::junction", To: "g::junction", Kind: KindProp, Key: "Work", Flag: true, Seq: 7},
+		{From: "f::junction", To: "g::junction", Kind: KindData, Key: "n", Seq: 1<<63 + 9, Payload: []byte("sunk")},
 		{From: "g::junction", To: "f::junction", Kind: KindControl, Key: "ack", Payload: ack},
+		{},
 	}
+}
+
+// sameWire reports whether two messages agree on every field that crosses
+// the wire; Owned is a property of the decoder, checked separately.
+func sameWire(a, b Message) bool {
+	return a.From == b.From && a.To == b.To && a.Kind == b.Kind && a.Key == b.Key &&
+		a.Flag == b.Flag && a.Seq == b.Seq && bytes.Equal(a.Payload, b.Payload)
 }
 
 func fuzzSeedFrames(f *testing.F) [][]byte {
@@ -47,8 +56,21 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(appendBatchEnvelope(nil, frames))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		m, err := DecodeMessage(frame)
+		aliased, aerr := decodeMessageIn(append([]byte(nil), frame...), strIntern{}, true)
+		if (err == nil) != (aerr == nil) {
+			t.Fatalf("DecodeMessage error %v but aliasing decoder error %v", err, aerr)
+		}
 		if err != nil {
 			return
+		}
+		if !sameWire(m, aliased) {
+			t.Fatalf("aliasing decoder disagrees:\n%+v\n%+v", m, aliased)
+		}
+		if !m.Owned || aliased.Owned {
+			t.Fatalf("Owned: DecodeMessage %t (want true), aliasing decoder %t (want false)", m.Owned, aliased.Owned)
+		}
+		if !hasSeq(m.Kind) && m.Seq != 0 {
+			t.Fatalf("kind %d decoded with seq %d", m.Kind, m.Seq)
 		}
 		enc, err := EncodeMessage(m)
 		if err != nil {
@@ -82,8 +104,16 @@ func FuzzDecodeBatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !reflect.DeepEqual(msgs, interned) {
-			t.Fatalf("interning decoder disagrees:\n%+v\n%+v", msgs, interned)
+		if len(msgs) != len(interned) {
+			t.Fatalf("DecodeBatch found %d entries, interning decoder %d", len(msgs), len(interned))
+		}
+		for i := range msgs {
+			if !sameWire(msgs[i], interned[i]) {
+				t.Fatalf("interning decoder disagrees at entry %d:\n%+v\n%+v", i, msgs[i], interned[i])
+			}
+			if !msgs[i].Owned || interned[i].Owned {
+				t.Fatalf("entry %d Owned: DecodeBatch %t (want true), interning decoder %t (want false)", i, msgs[i].Owned, interned[i].Owned)
+			}
 		}
 		bodies := make([][]byte, len(msgs))
 		for i, m := range msgs {

@@ -377,6 +377,7 @@ func (c *ReconnectClient) pump(conn net.Conn) {
 	// retried on the next connection.
 	writeRun := func() bool {
 		written, err := writeCoalesced(w, bodies, onBatch)
+		clear(bodies) // as in Client.pump: do not pin the written run
 		c.sent.Add(uint64(written))
 		c.mu.Lock()
 		for _, at := range ats[:written] {

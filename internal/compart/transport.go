@@ -49,6 +49,10 @@ var (
 // (excluding the outer length prefix). It fails with ErrFieldTooLong when a
 // string field cannot be length-prefixed losslessly, and with
 // ErrFrameTooLarge when the total frame would exceed maxFrame.
+//
+// The frame is kind, flag, the From/To/Key strings (uint16 length
+// prefixes), the 8-byte Seq for KindProp/KindData only, then the payload
+// behind a uint32 length. Owned is not encoded.
 func EncodeMessage(m Message) ([]byte, error) { return AppendMessage(nil, m) }
 
 // AppendMessage appends the frame encoding of m to dst and returns the
@@ -67,6 +71,9 @@ func AppendMessage(dst []byte, m Message) ([]byte, error) {
 	size := 1 + 1 + // kind, flag
 		varStrLen(m.From) + varStrLen(m.To) + varStrLen(m.Key) +
 		4 + len(m.Payload)
+	if hasSeq(m.Kind) {
+		size += 8
+	}
 	if size > maxFrame {
 		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
 	}
@@ -84,20 +91,28 @@ func AppendMessage(dst []byte, m Message) ([]byte, error) {
 	buf = appendStr(buf, m.From)
 	buf = appendStr(buf, m.To)
 	buf = appendStr(buf, m.Key)
+	if hasSeq(m.Kind) {
+		buf = binary.BigEndian.AppendUint64(buf, m.Seq)
+	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Payload)))
 	buf = append(buf, m.Payload...)
 	return buf, nil
 }
 
-// DecodeMessage parses a frame produced by EncodeMessage.
+// hasSeq reports whether frames of kind k carry the 8-byte Seq field.
+func hasSeq(k MessageKind) bool { return k == KindProp || k == KindData }
+
+// DecodeMessage parses a frame produced by EncodeMessage. The payload is
+// copied out of buf, so the message is Owned.
 func DecodeMessage(buf []byte) (Message, error) {
 	return decodeMessageIn(buf, nil, false)
 }
 
 // decodeMessageIn parses one frame. si (optional) interns the three address
 // strings; aliasPayload skips the payload copy, valid only when buf outlives
-// the message and is never rewritten (batch interiors inside a
-// fresh-per-frame read buffer).
+// the message and is never rewritten (frames in a fresh-per-frame read
+// buffer). A copied payload is Owned; an aliased one is not, and a caller
+// that owns all of buf (Server's solo frames) marks it Owned itself.
 func decodeMessageIn(buf []byte, si strIntern, aliasPayload bool) (Message, error) {
 	var m Message
 	if len(buf) < 2 {
@@ -116,6 +131,13 @@ func decodeMessageIn(buf []byte, si strIntern, aliasPayload bool) (Message, erro
 	if m.Key, rest, err = takeStrIn(rest, si); err != nil {
 		return m, err
 	}
+	if hasSeq(m.Kind) {
+		if len(rest) < 8 {
+			return m, fmt.Errorf("compart: truncated seq")
+		}
+		m.Seq = binary.BigEndian.Uint64(rest)
+		rest = rest[8:]
+	}
 	if len(rest) < 4 {
 		return m, fmt.Errorf("compart: truncated payload length")
 	}
@@ -131,6 +153,7 @@ func decodeMessageIn(buf []byte, si strIntern, aliasPayload bool) (Message, erro
 			m.Payload = append([]byte(nil), rest...)
 		}
 	}
+	m.Owned = !aliasPayload
 	return m, nil
 }
 
@@ -308,8 +331,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	// Per-connection intern cache: batch interiors repeat the same few
-	// addresses and keys tens of thousands of times a second.
+	// Per-connection intern cache: frames repeat the same few addresses and
+	// keys tens of thousands of times a second.
 	si := make(strIntern)
 	for {
 		body, err := readFrame(r)
@@ -317,7 +340,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			// Framing/IO error: the stream is unrecoverable.
 			return
 		}
-		msg, err := DecodeMessage(body)
+		// Every frame is read into a fresh buffer, so payloads alias it
+		// rather than being copied out again.
+		msg, err := decodeMessageIn(body, si, true)
 		if err != nil {
 			// The frame body is garbage but the outer length prefix kept
 			// the stream in sync: count it and keep draining.
@@ -350,6 +375,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		s.frames.Add(1)
+		// A solo frame's buffer belongs to its one message alone: the
+		// receiver may keep the payload without copying it.
+		msg.Owned = true
 		// Send errors (down endpoint etc.) are invisible to the remote
 		// sender, exactly like datagram loss.
 		_ = s.net.Send(msg)
@@ -464,7 +492,9 @@ func NewClient(conn net.Conn, cfg ClientConfig) *Client {
 // cannot be framed losslessly fail with ErrFieldTooLong or ErrFrameTooLarge
 // before any bytes hit the socket. A full queue blocks until the writer
 // catches up. A nil error means the frame was accepted for transmission; a
-// connection that has since died surfaces its write error here.
+// connection that has since died surfaces its write error here. The frame
+// is encoded before Send returns — the one copy of the payload on the
+// sending side — so the caller's payload is never read afterwards.
 func (c *Client) Send(msg Message) error {
 	// Queued frames alias their buffer until the pump writes them, so each
 	// Send encodes into a fresh buffer.
@@ -550,6 +580,9 @@ func (c *Client) pump() {
 	bodies := make([][]byte, 0, maxCoalesce)
 	writeRun := func() bool {
 		written, err := writeCoalesced(w, bodies, onBatch)
+		// Written frames are garbage now: drop the slots' references so
+		// the run is not kept alive until a later run overwrites them.
+		clear(bodies)
 		c.sent.Add(uint64(written))
 		if err == nil {
 			err = w.Flush()

@@ -163,3 +163,106 @@ func TestServerAnswersHeartbeats(t *testing.T) {
 		t.Fatalf("heartbeat leaked into the network: %+v", st)
 	}
 }
+
+// TestSeqInFrameHeader pins the Seq field's wire contract: prop and data
+// frames carry it as 8 header bytes after Key and round-trip it exactly;
+// control frames do not encode it at all and decode with Seq 0.
+func TestSeqInFrameHeader(t *testing.T) {
+	base := Message{From: "f::junction", To: "g::junction", Key: "k", Payload: []byte("p")}
+	ctl := base
+	ctl.Kind = KindControl
+	ctlFrame, err := EncodeMessage(ctl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []MessageKind{KindProp, KindData} {
+		m := base
+		m.Kind, m.Seq = kind, 1<<63|5
+		frame, err := EncodeMessage(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) != len(ctlFrame)+8 {
+			t.Fatalf("kind %d: frame of %d bytes, want the control frame's %d plus 8", kind, len(frame), len(ctlFrame))
+		}
+		got, err := DecodeMessage(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Seq != m.Seq || string(got.Payload) != "p" || got.Key != "k" {
+			t.Fatalf("kind %d round trip: %+v", kind, got)
+		}
+	}
+	ctl.Seq = 99
+	withSeq, err := EncodeMessage(ctl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(withSeq) != string(ctlFrame) {
+		t.Fatal("a control frame's encoding depends on Seq")
+	}
+	if got, err := DecodeMessage(withSeq); err != nil || got.Seq != 0 {
+		t.Fatalf("control frame decoded with seq %d (err %v), want 0", got.Seq, err)
+	}
+}
+
+// TestServerMarksSoloFramesOwned pins the receive side of the ownership
+// contract: the server hands a solo frame's payload over as Owned (its read
+// buffer belongs to that one message), while the members of a batch
+// envelope share the envelope's buffer and arrive not Owned.
+func TestServerMarksSoloFramesOwned(t *testing.T) {
+	remote := newTestNetwork(t, 1)
+	solo := make(chan Message, 1)
+	batch := make(chan []Message, 1)
+	remote.RegisterBatch("sink", func(m Message) { solo <- m }, func(ms []Message) { batch <- ms })
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeTCP(remote, l)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	frame := func(m Message) []byte {
+		b, err := EncodeMessage(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if err := writeFrame(conn, frame(Message{To: "sink", Kind: KindData, Key: "n", Seq: 1, Payload: []byte("solo")})); err != nil {
+		t.Fatal(err)
+	}
+	env := appendBatchEnvelope(nil, [][]byte{
+		frame(Message{To: "sink", Kind: KindData, Key: "n", Seq: 2, Payload: []byte("first")}),
+		frame(Message{To: "sink", Kind: KindData, Key: "n", Seq: 3, Payload: []byte("second")}),
+	})
+	if err := writeFrame(conn, env); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-solo:
+		if !m.Owned || m.Seq != 1 || string(m.Payload) != "solo" {
+			t.Fatalf("solo frame delivered as %+v, want Owned seq 1", m)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("solo frame not delivered")
+	}
+	select {
+	case ms := <-batch:
+		if len(ms) != 2 {
+			t.Fatalf("batch delivered %d members, want 2", len(ms))
+		}
+		for i, m := range ms {
+			if m.Owned || m.Seq != uint64(i+2) {
+				t.Fatalf("batch member %d delivered as %+v, want not Owned, seq %d", i, m, i+2)
+			}
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("batch not delivered")
+	}
+}

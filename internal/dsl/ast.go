@@ -174,9 +174,15 @@ type HostCtx interface {
 type HostFunc func(ctx HostCtx) error
 
 // SourceFunc produces the serialized payload for a save(..., n) statement.
+// save takes the returned slice as it is: the table stores it without a
+// copy and later writes send it from there, so the host must not write to
+// it again — a host that reuses a scratch buffer may do so only once every
+// round that could still read it has completed.
 type SourceFunc func(ctx HostCtx) ([]byte, error)
 
-// SinkFunc consumes the payload for a restore(n, ...) statement.
+// SinkFunc consumes the payload for a restore(n, ...) statement. restore
+// hands the hook its own copy of the stored value, which it may keep or
+// modify freely.
 type SinkFunc func(ctx HostCtx, payload []byte) error
 
 // Expr is the E metavariable of Table 1.

@@ -9,6 +9,12 @@
 // when updates to the waited-on propositions and data keys are let through.
 // Local updates have priority: a local write discards pending remote updates
 // to the same key.
+//
+// Stored data is shared, never written in place: SetData and a remote
+// update store the slice they are given, DataRef hands that same slice out,
+// and a new value replaces the slice rather than overwriting its bytes. Any
+// holder of a stored slice — a queued update, a frame being sent, a
+// snapshot — may therefore keep reading it after the table moves on.
 package kv
 
 import (

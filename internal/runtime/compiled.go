@@ -54,8 +54,18 @@ func (j *Junction) runBody(ctx context.Context) (signal, error) {
 	return j.exec(ctx, dsl.Seq(j.def.Body))
 }
 
-// guardTruth evaluates the junction's guard (the caller checks for nil).
+// guardTruth evaluates the junction's guard (the caller checks for nil). A
+// guard whose read-set reaches other junctions (their tables or @running
+// liveness) is evaluated against one consistent view of instance liveness;
+// local-only guards skip that.
 func (j *Junction) guardTruth() formula.Truth {
+	if j.pj != nil && j.pj.Guard != nil && j.pj.Guard.Remote {
+		return j.sys.consistentLiveness(j.evalGuard)
+	}
+	return j.evalGuard()
+}
+
+func (j *Junction) evalGuard() formula.Truth {
 	if j.comp != nil && j.comp.guard != nil {
 		return j.comp.guard()
 	}
@@ -494,9 +504,9 @@ func (j *Junction) compilePropUpdate(target dsl.JunctionRef, pr dsl.PropRef, val
 func (j *Junction) compileWrite(n dsl.Write) updatePrep {
 	resolveTo := j.compileTarget(n.To)
 	return func() (remoteUpdate, bool, error) {
-		// The table's internal slice is safe to hold until the send: the
-		// table replaces stored data rather than writing into it, and
-		// sendUpdates copies the payload into the framed message body.
+		// The table's internal slice goes out as the message payload
+		// uncopied: the table replaces stored data rather than writing
+		// into it, so the slice stays valid while the frame is in flight.
 		payload, err := j.table.DataRef(n.Data)
 		if err != nil {
 			return remoteUpdate{}, false, fmt.Errorf("write %s: %w", n.Data, err)

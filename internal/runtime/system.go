@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -26,6 +27,7 @@ import (
 	"csaw/internal/analysis"
 	"csaw/internal/compart"
 	"csaw/internal/dsl"
+	"csaw/internal/formula"
 	"csaw/internal/kv"
 	"csaw/internal/obsv"
 	"csaw/internal/plan"
@@ -119,6 +121,11 @@ type System struct {
 	mu        sync.Mutex
 	instances map[string]*Instance
 	apps      map[string]any
+	// liveGen is a sequence lock over instance liveness: writers holding mu
+	// make it odd while they start, stop or crash an instance and even
+	// again after, so a guard reading several instances' liveness can tell
+	// whether its reads saw one consistent state (consistentLiveness).
+	liveGen atomic.Uint64
 
 	// Ack plumbing: one window per directed (sender,receiver) junction
 	// pair, acknowledged cumulatively.
@@ -366,8 +373,10 @@ func (s *System) startLocked(name string, args any) error {
 			s.obs.Emit(obsv.Event{Kind: obsv.EvTableInit, Junction: j.FQName})
 		}
 	}
+	s.liveGen.Add(1)
 	inst.running.Store(true)
 	s.instances[name] = inst
+	s.liveGen.Add(1)
 	// Junctions are started concurrently in an arbitrary order (paper §6):
 	// guarded junctions get driver loops; unguarded junctions are scheduled
 	// by application logic through Invoke.
@@ -390,7 +399,9 @@ func (s *System) StopInstance(name string) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotRunning, name)
 	}
+	s.liveGen.Add(1)
 	inst.running.Store(false)
+	s.liveGen.Add(1)
 	for _, j := range inst.junctions {
 		fq := j.FQName
 		s.deploy.eachNet(func(n *compart.Network) { n.Deregister(fq) })
@@ -421,7 +432,9 @@ func (s *System) CrashInstance(name string) {
 		s.mu.Unlock()
 		return
 	}
+	s.liveGen.Add(1)
 	inst.running.Store(false)
+	s.liveGen.Add(1)
 	tracing := s.obs.Tracing()
 	if tracing {
 		s.obs.Emit(obsv.Event{Kind: obsv.EvInstanceCrash, Junction: name})
@@ -471,6 +484,25 @@ func (s *System) failWindowsOf(name string) {
 	s.winMu.Unlock()
 	for _, sw := range stale {
 		sw.w.fail(sw.err)
+	}
+}
+
+// consistentLiveness evaluates eval against one consistent view of instance
+// liveness: it re-evaluates whenever an instance started, stopped or
+// crashed while eval ran (or was mid-change when it began). Without this a
+// guard like ¬S(a) ∧ S(b) could read a as down before a start and b as up
+// after it, and hold in no state the system was ever in. Callers must not
+// hold s.mu.
+func (s *System) consistentLiveness(eval func() formula.Truth) formula.Truth {
+	for {
+		g := s.liveGen.Load()
+		if g&1 == 0 {
+			t := eval()
+			if s.liveGen.Load() == g {
+				return t
+			}
+		}
+		goruntime.Gosched()
 	}
 }
 
@@ -631,12 +663,13 @@ func (s *System) registerEndpoints(j *Junction, loc *location) {
 
 // --- remote update plumbing -------------------------------------------------
 //
-// Updates travel as seq-prefixed prop/data payloads; acks return as
-// KindControl "ack" frames. Each directed (sender,receiver) junction pair
-// owns an ackWindow carrying its own sequence space. Updates are issued in
-// send groups (sendUpdates): a single statement is a group of one, and a par
-// whose arms are all single remote updates is one group issued from one
-// goroutine (compilePar). Each update takes its pair's next seq and queues a
+// Updates travel as prop/data frames carrying their per-pair seq in the
+// frame header (Message.Seq) and, for a write, the sender table's stored
+// slice as payload; acks return as KindControl "ack" frames. Each directed
+// (sender,receiver) junction pair owns an ackWindow carrying its own
+// sequence space. Updates are issued in send groups (sendUpdates): a single
+// statement is a group of one, and a par whose arms are all single remote
+// updates is one group issued from one goroutine (compilePar). Each update takes its pair's next seq and queues a
 // reference to its group slot in the window, in seq order; the group
 // completes on one pending counter when its last slot is acknowledged or
 // failed, so many updates ride the link at once behind a single wait. The
@@ -1032,10 +1065,10 @@ func (s *System) issue(j *Junction, g *sendGroup, i int, u *remoteUpdate, timing
 	}
 	w.pushLocked(waiter{seq: seq, g: g, i: i})
 	w.mu.Unlock()
-	body := make([]byte, 8+len(u.payload))
-	binary.BigEndian.PutUint64(body, seq)
-	copy(body[8:], u.payload)
-	err := j.net.Send(compart.Message{From: j.FQName, To: u.to, Kind: u.kind, Key: u.key, Flag: u.flag, Payload: body})
+	// The payload goes out uncopied: a TCP uplink encodes it before Send
+	// returns, and an in-process receiver copies it (decodeUpdate), since
+	// the frame is not Owned.
+	err := j.net.Send(compart.Message{From: j.FQName, To: u.to, Kind: u.kind, Key: u.key, Flag: u.flag, Seq: seq, Payload: u.payload})
 	w.sendMu.Unlock()
 	if err == nil {
 		return
@@ -1115,21 +1148,27 @@ func (j *Junction) noteDelivered(from string, seq uint64) (cum uint64, extra boo
 	return tr.contig, false
 }
 
-// decodeUpdate parses a seq-prefixed prop/data message into a KV update.
-func decodeUpdate(m compart.Message) (kv.Update, uint64, bool) {
-	if len(m.Payload) < 8 {
+// decodeUpdate turns a prop/data message into a KV update and its per-pair
+// seq; ok is false for a message outside the runtime's sequence space (seq
+// 0 is never issued). A data payload becomes the table value: an Owned one
+// as it is — a TCP solo frame's read buffer, kept whole — and any other
+// (in-process, or a batch member sharing its envelope) as a private copy.
+func decodeUpdate(m compart.Message) (u kv.Update, seq uint64, ok bool) {
+	if m.Seq == 0 {
 		return kv.Update{}, 0, false
 	}
-	seq := binary.BigEndian.Uint64(m.Payload)
-	u := kv.Update{Key: m.Key, From: m.From}
+	u = kv.Update{Key: m.Key, From: m.From}
 	if m.Kind == compart.KindProp {
 		u.Kind = kv.UpdateProp
 		u.Bool = m.Flag
 	} else {
 		u.Kind = kv.UpdateData
-		u.Data = append([]byte(nil), m.Payload[8:]...)
+		u.Data = m.Payload
+		if !m.Owned {
+			u.Data = append([]byte(nil), m.Payload...)
+		}
 	}
-	return u, seq, true
+	return u, m.Seq, true
 }
 
 // appendAck encodes a cumulative ack payload: the 8-byte frontier followed
@@ -1143,23 +1182,33 @@ func appendAck(cum uint64, extras []uint64) []byte {
 	return body
 }
 
+// decodeAck parses an appendAck payload: the cumulative frontier, then the
+// vectored extras. A payload shorter than the frontier is not an ack; a
+// trailing partial extra is ignored.
+func decodeAck(payload []byte) (cum uint64, extras []uint64, ok bool) {
+	if len(payload) < 8 {
+		return 0, nil, false
+	}
+	cum = binary.BigEndian.Uint64(payload)
+	for off := 8; off+8 <= len(payload); off += 8 {
+		extras = append(extras, binary.BigEndian.Uint64(payload[off:]))
+	}
+	return cum, extras, true
+}
+
 // handleMessage is installed per junction endpoint; defined here because it
 // needs the ack plumbing. kind KindControl with key "ack" resolves acks;
 // prop/data messages enqueue a KV update and acknowledge delivery.
 func (j *Junction) handleMessage(m compart.Message) {
 	switch m.Kind {
 	case compart.KindControl:
-		if m.Key != "ack" || len(m.Payload) < 8 {
+		if m.Key != "ack" {
 			return
 		}
-		// Cumulative frontier first, then vectored extras; the window is
-		// keyed by (this junction, acking peer).
-		cum := binary.BigEndian.Uint64(m.Payload)
-		var extras []uint64
-		for off := 8; off+8 <= len(m.Payload); off += 8 {
-			extras = append(extras, binary.BigEndian.Uint64(m.Payload[off:]))
+		// The window is keyed by (this junction, acking peer).
+		if cum, extras, ok := decodeAck(m.Payload); ok {
+			j.sys.ackPair(j.FQName, m.From, cum, extras)
 		}
-		j.sys.ackPair(j.FQName, m.From, cum, extras)
 	case compart.KindProp, compart.KindData:
 		_, acks := j.receive([]compart.Message{m})
 		j.sendAcks(acks)
